@@ -5,11 +5,9 @@ __version__ = "0.1.0"
 
 from .exactmat import (
     IntMatrix,
-    SmithForm,
     determinant,
     is_negative_definite,
     signature,
-    smith_normal_form,
 )
 from .knots import (
     LaurentPoly,

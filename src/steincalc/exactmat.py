@@ -1,21 +1,20 @@
-"""Exact integer and rational linear algebra.
+"""Exact integer linear algebra.
 
-Everything here runs on arbitrary-precision Python integers (plus
-``fractions.Fraction`` for congruence pivoting); no floating point ever
-enters.  The three symmetric-form invariants we need downstream are
+Everything here runs on arbitrary-precision Python integers; no float or
+fraction ever enters.  Two fraction-free Bareiss eliminations do the work:
 
-* Smith normal form with unimodular transforms (homology cokernels),
-* determinants (Bareiss, fraction-free),
-* signature and negative-definiteness (exact congruence diagonalization).
+* ``determinant``: the general pass with row swaps;
+* ``_inertia``: a symmetric pass whose pivots are leading principal minors
+  of congruent matrices, giving signature and negative-definiteness.
+
+``smith_diagonal`` gives the Smith normal form diagonal (homology
+cokernels) without the unimodular transforms.
 
 Signature convention: number of positive minus number of negative
 eigenvalues; zero eigenvalues contribute nothing.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from fractions import Fraction
 
 
 class IntMatrix:
@@ -24,7 +23,11 @@ class IntMatrix:
     __slots__ = ("_rows", "nrows", "ncols")
 
     def __init__(self, rows):
-        rows = tuple(tuple(int(x) for x in r) for r in rows)
+        rows = tuple(tuple(r) for r in rows)
+        for r in rows:
+            for x in r:
+                if type(x) is not int:
+                    raise ValueError(f"matrix entry {x!r} is not an integer")
         if rows:
             width = len(rows[0])
             if any(len(r) != width for r in rows):
@@ -94,81 +97,31 @@ class IntMatrix:
         return f"IntMatrix({[list(r) for r in self._rows]})"
 
 
-@dataclass(frozen=True)
-class SmithForm:
-    """Smith normal form data: left @ M @ right is diagonal.
+def smith_diagonal(M: IntMatrix) -> tuple:
+    """Smith normal form diagonal d_1, ..., d_min(m,n).
 
-    ``diagonal`` lists d_1, ..., d_min(m,n) with every d_i >= 0 and each
-    nonzero d_i dividing its successor; ``left`` and ``right`` are
-    unimodular.
+    Every d_i >= 0, each nonzero d_i divides its successor and zeros come
+    last.  The pivot is the smallest nonzero absolute value, ties broken by
+    lowest (row, col).
     """
-
-    diagonal: tuple
-    left: IntMatrix
-    right: IntMatrix
-
-    def diagonal_matrix(self, nrows: int, ncols: int) -> IntMatrix:
-        d = self.diagonal
-        return IntMatrix(
-            [[d[i] if i == j and i < len(d) else 0 for j in range(ncols)] for i in range(nrows)]
-        )
-
-
-def _snf_pivot(A, t, m, n):
-    # Smallest nonzero absolute value, ties broken by lowest (row, col).
-    best = None
-    for i in range(t, m):
-        for j in range(t, n):
-            v = A[i][j]
-            if v != 0 and (best is None or abs(v) < abs(A[best[0]][best[1]])):
-                best = (i, j)
-    return best
-
-
-def _snf_core(M: IntMatrix, track: bool):
     m, n = M.nrows, M.ncols
     A = M.to_lists()
-    U = IntMatrix.identity(m).to_lists() if track else None
-    V = IntMatrix.identity(n).to_lists() if track else None
-
-    def swap_rows(i, j):
-        A[i], A[j] = A[j], A[i]
-        if track:
-            U[i], U[j] = U[j], U[i]
 
     def swap_cols(i, j):
         for r in A:
             r[i], r[j] = r[j], r[i]
-        if track:
-            for r in V:
-                r[i], r[j] = r[j], r[i]
 
-    def add_row(dst, src, q):
-        # row_dst += q * row_src
-        Ad, As = A[dst], A[src]
-        for j in range(n):
-            Ad[j] += q * As[j]
-        if track:
-            Ud, Us = U[dst], U[src]
-            for j in range(m):
-                Ud[j] += q * Us[j]
-
-    def add_col(dst, src, q):
-        for r in A:
-            r[dst] += q * r[src]
-        if track:
-            for r in V:
-                r[dst] += q * r[src]
-
-    t = 0
-    while t < min(m, n):
-        piv = _snf_pivot(A, t, m, n)
+    for t in range(min(m, n)):
+        piv = None
+        for i in range(t, m):
+            for j in range(t, n):
+                v = A[i][j]
+                if v != 0 and (piv is None or abs(v) < abs(A[piv[0]][piv[1]])):
+                    piv = (i, j)
         if piv is None:
             break
-        if piv[0] != t:
-            swap_rows(t, piv[0])
-        if piv[1] != t:
-            swap_cols(t, piv[1])
+        A[t], A[piv[0]] = A[piv[0]], A[t]
+        swap_cols(t, piv[1])
         while True:
             # Clear column t below the pivot, trading places on nonzero
             # remainders until the pivot is the column gcd.
@@ -177,9 +130,11 @@ def _snf_core(M: IntMatrix, track: bool):
                 if A[i][t] == 0:
                     continue
                 q = A[i][t] // A[t][t]
-                add_row(i, t, -q)
+                Ai, At = A[i], A[t]
+                for j in range(n):
+                    Ai[j] -= q * At[j]
                 if A[i][t] != 0:
-                    swap_rows(t, i)
+                    A[t], A[i] = A[i], A[t]
                     restart = True
             if restart:
                 continue
@@ -187,48 +142,27 @@ def _snf_core(M: IntMatrix, track: bool):
                 if A[t][j] == 0:
                     continue
                 q = A[t][j] // A[t][t]
-                add_col(j, t, -q)
+                for r in A:
+                    r[j] -= q * r[t]
                 if A[t][j] != 0:
                     swap_cols(t, j)
                     restart = True
             if restart:
                 continue
             # Divisibility sweep: the pivot must divide the rest of the block.
-            offender = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if A[i][j] % A[t][t] != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            offender = next(
+                (i for i in range(t + 1, m) for j in range(t + 1, n) if A[i][j] % A[t][t] != 0),
+                None,
+            )
             if offender is None:
                 break
-            add_row(t, offender, 1)
-        if A[t][t] < 0:
+            At, Ao = A[t], A[offender]
             for j in range(n):
-                A[t][j] = -A[t][j]
-            if track:
-                for j in range(m):
-                    U[t][j] = -U[t][j]
-        t += 1
+                At[j] += Ao[j]
+        if A[t][t] < 0:
+            A[t] = [-x for x in A[t]]
 
-    diag = tuple(A[i][i] for i in range(min(m, n)))
-    if track:
-        return diag, IntMatrix(U), IntMatrix(V)
-    return diag, None, None
-
-
-def smith_normal_form(M: IntMatrix) -> SmithForm:
-    """Smith normal form with unimodular transforms: left @ M @ right diagonal."""
-    diag, U, V = _snf_core(M, track=True)
-    return SmithForm(diagonal=diag, left=U, right=V)
-
-
-def smith_diagonal(M: IntMatrix) -> tuple:
-    """Just the SNF diagonal (same pivot rule, no transform bookkeeping)."""
-    diag, _, _ = _snf_core(M, track=False)
-    return diag
+    return tuple(A[i][i] for i in range(min(m, n)))
 
 
 def determinant(M: IntMatrix) -> int:
@@ -261,77 +195,60 @@ def _require_symmetric(M: IntMatrix, op: str) -> None:
         raise ValueError(f"{op} requires a symmetric matrix")
 
 
-def signature(M: IntMatrix) -> int:
-    """Signature by exact rational congruence diagonalization.
+def _inertia(M: IntMatrix) -> tuple:
+    """(n_plus, n_minus, n_zero) of a symmetric matrix, by symmetric Bareiss.
 
-    Nonzero diagonal entries pivot ordinarily; an all-zero diagonal with a
-    nonzero off-diagonal entry pivots as a hyperbolic 2x2 pair contributing
-    one +1 and one -1.  Zero blocks contribute nothing.
+    Step k pivots on a nonzero diagonal entry of the remaining block, moved
+    into place by a symmetric swap.  If that diagonal is all zero but some
+    A[p][j] is not, the unimodular congruence row_p += row_j, col_p += col_j
+    first makes the pivot 2 A[p][j].  Every working entry stays a bordered
+    minor of a matrix congruent to M, so the divisions are exact and pivot k
+    is the leading minor D_k; it counts by the sign of D_k / D_{k-1}
+    (Jacobi).  Once the remaining block is zero the rest is the kernel.
     """
-    _require_symmetric(M, "signature")
     n = M.nrows
-    A = [[Fraction(M[i, j]) for j in range(n)] for i in range(n)]
-    active = list(range(n))
-    sig = 0
-    while active:
-        piv = next((i for i in active if A[i][i] != 0), None)
-        if piv is not None:
-            d = A[piv][piv]
-            sig += 1 if d > 0 else -1
-            rest = [i for i in active if i != piv]
-            for i in rest:
-                ci = A[i][piv]
-                if ci:
-                    for j in rest:
-                        A[i][j] -= ci * A[piv][j] / d
-            active = rest
-            continue
-        pair = None
-        for i in active:
-            for j in active:
-                if j > i and A[i][j] != 0:
-                    pair = (i, j)
-                    break
-            if pair:
+    A = M.to_lists()
+    pos = neg = 0
+    prev = 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if A[i][i] != 0), None)
+        if p is None:
+            pair = next(((i, j) for i in range(k, n) for j in range(i + 1, n) if A[i][j] != 0), None)
+            if pair is None:
                 break
-        if pair is None:
-            break
-        i0, j0 = pair
-        b = A[i0][j0]
-        rest = [i for i in active if i not in (i0, j0)]
-        for k in rest:
-            cki, ckj = A[k][i0], A[k][j0]
-            if cki == 0 and ckj == 0:
-                continue
-            for l in rest:
-                A[k][l] -= (cki * A[l][j0] + ckj * A[l][i0]) / b
-        # hyperbolic pair: +1 and -1 cancel in the signature
-        active = rest
-    return sig
+            p, q = pair
+            Ap, Aq = A[p], A[q]
+            for j in range(k, n):
+                Ap[j] += Aq[j]
+            for r in A[k:]:
+                r[p] += r[q]
+        if p != k:
+            A[k], A[p] = A[p], A[k]
+            for r in A[k:]:
+                r[k], r[p] = r[p], r[k]
+        a = A[k][k]
+        if (a > 0) == (prev > 0):
+            pos += 1
+        else:
+            neg += 1
+        Ak = A[k]
+        for i in range(k + 1, n):
+            Ai = A[i]
+            c = Ai[k]
+            for j in range(k + 1, n):
+                Ai[j] = (Ai[j] * a - c * Ak[j]) // prev
+        prev = a
+    return pos, neg, n - pos - neg
+
+
+def signature(M: IntMatrix) -> int:
+    """Number of positive minus number of negative eigenvalues."""
+    _require_symmetric(M, "signature")
+    pos, neg, _ = _inertia(M)
+    return pos - neg
 
 
 def is_negative_definite(M: IntMatrix) -> bool:
-    """Exact negative-definiteness test.
-
-    Sylvester: leading principal minors alternate as (-1)^k.  The minors
-    come out of a single swap-free Bareiss pass (the k-th pivot is the
-    k-th leading minor); a zero minor leaves Sylvester inconclusive, so
-    we fall back to the congruence count (definite iff signature == -n).
-    """
+    """True iff every eigenvalue is negative (the empty form included)."""
     _require_symmetric(M, "is_negative_definite")
-    n = M.nrows
-    if n == 0:
-        return True
-    A = M.to_lists()
-    prev = 1
-    for k in range(n):
-        minor = A[k][k]  # leading (k+1)x(k+1) principal minor
-        if minor == 0:
-            return signature(M) == -n
-        if (minor > 0) != (k % 2 == 1):
-            return False
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
-        prev = A[k][k]
-    return True
+    return _inertia(M)[1] == M.nrows

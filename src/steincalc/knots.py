@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from math import isqrt
 
 from .exactmat import IntMatrix, determinant
 
@@ -217,47 +218,37 @@ def load_family(text: str) -> list:
     return [SeifertMatrixK.from_dict(d) for d in json.loads(text)]
 
 
-def _poly_det(rows) -> LaurentPoly:
-    # Laplace expansion down the rows, memoized on the live column set;
-    # O(2^n) polynomial products, fine for the matrix sizes we meet.
-    n = len(rows)
-    if n == 0:
-        return LaurentPoly.one()
-    memo = {}
-
-    def det(cols):
-        if not cols:
-            return LaurentPoly.one()
-        if cols in memo:
-            return memo[cols]
-        i = n - len(cols)
-        acc = LaurentPoly.zero()
-        for k, j in enumerate(cols):
-            entry = rows[i][j]
-            if entry.is_zero:
-                continue
-            sub = det(cols[:k] + cols[k + 1 :])
-            term = entry * sub
-            acc = acc + term if k % 2 == 0 else acc - term
-        memo[cols] = acc
-        return acc
-
-    return det(tuple(range(n)))
+def _ceil_norm(v) -> int:
+    """Ceiling of the Euclidean norm of an integer vector."""
+    sq = sum(x * x for x in v)
+    r = isqrt(sq)
+    return r + (r * r < sq)
 
 
 def alexander(V: SeifertMatrixK) -> LaurentPoly:
-    """Normalized det(V - t V^T); the empty matrix gives 1."""
+    """Normalized det(V - t V^T); the empty matrix gives 1.
+
+    Kronecker substitution: one integer determinant at t = B, read back as
+    balanced base-B digits.  On |t| = 1 Hadamard bounds |det| by
+    H = prod_i (|row i of V| + |col i of V|), and by Cauchy's estimate so
+    is every coefficient; B = 2H + 1 makes the digits exact.
+    """
     M = V.matrix
+    Mt = M.transpose()
     n = M.nrows
-    t = LaurentPoly.monomial(1, 1)
-    rows = [
-        [
-            LaurentPoly.monomial(M[i, j], 0) - t * LaurentPoly.monomial(M[j, i], 0)
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    return _poly_det(rows).normalized()
+    H = 1
+    for i in range(n):
+        H *= _ceil_norm(M.row(i)) + _ceil_norm(Mt.row(i))
+    B = 2 * H + 1
+    x = determinant(IntMatrix([[a - B * b for a, b in zip(M.row(i), Mt.row(i))] for i in range(n)]))
+    coeffs = {}
+    for e in range(n + 1):
+        d = x % B
+        if d > H:
+            d -= B
+        coeffs[e] = d
+        x = (x - d) // B
+    return LaurentPoly(coeffs).normalized()
 
 
 @dataclass(frozen=True)

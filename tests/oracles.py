@@ -1,9 +1,9 @@
 """Independent oracles and generators for the test suite.
 
 Everything here deliberately avoids the code paths under test: cofactor
-expansion instead of Bareiss, characteristic-polynomial root counting
-instead of congruence diagonalization, unmemoized Laplace expansion for
-polynomial determinants.
+expansion instead of Bareiss, characteristic-polynomial root counting and
+leaf pruning on trees instead of symmetric elimination, Laplace expansion
+instead of Kronecker substitution for polynomial determinants.
 """
 
 import random
@@ -61,6 +61,47 @@ def charpoly_signature(rows) -> int:
     pos = variations(cs)
     neg = variations([c if i % 2 == 0 else -c for i, c in enumerate(cs)])
     return pos - neg
+
+
+def tree_inertia(G: PlumbingGraph) -> tuple:
+    """(n_plus, n_minus, n_zero) of a plumbing forest's form by leaf pruning.
+
+    Neumann 1981 (Trans. AMS 268): a leaf v of nonzero weight w splits off
+    as <w>, adding -1/w to its neighbour's weight; a leaf of weight 0 spans
+    a hyperbolic plane with its neighbour u, and u's other edges decouple.
+    Linear in the number of vertices.
+    """
+    w = {v: Fraction(G.weight(v)) for v in G.vertex_ids}
+    nbrs = {v: set() for v in w}
+    for a, b in G.edges:
+        nbrs[a].add(b)
+        nbrs[b].add(a)
+    counts = [0, 0, 0]
+    stack = [v for v in w if len(nbrs[v]) <= 1]
+    done = set()
+    while stack:
+        v = stack.pop()
+        if v in done or len(nbrs[v]) > 1:
+            continue
+        done.add(v)
+        if not nbrs[v]:
+            counts[0 if w[v] > 0 else 1 if w[v] < 0 else 2] += 1
+            continue
+        (u,) = nbrs.pop(v)
+        nbrs[u].discard(v)
+        if w[v] != 0:
+            counts[0 if w[v] > 0 else 1] += 1
+            w[u] -= 1 / w[v]
+            freed = [u]
+        else:
+            counts[0] += 1
+            counts[1] += 1
+            done.add(u)
+            freed = nbrs.pop(u)
+            for x in freed:
+                nbrs[x].discard(u)
+        stack.extend(x for x in freed if len(nbrs[x]) <= 1)
+    return tuple(counts)
 
 
 def naive_laurent_det(rows) -> LaurentPoly:

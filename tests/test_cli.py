@@ -119,6 +119,16 @@ class TestKnotsCommands:
         assert data["alexander"] == "t - 1 + t^-1"
         assert data["fibered_certificate"]["passes"] is True
 
+    def test_float_entry_is_an_error(self, capsys, tmp_path):
+        # -1.7 once truncated to -1 and printed the trefoil's polynomial
+        matrix = tmp_path / "V.json"
+        matrix.write_text(json.dumps({"name": "bad", "matrix": [[-1.7, 1], [0, -1]]}))
+        code, out, err = run(capsys, ["knots", "alexander", str(matrix)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "-1.7" in err
+        assert len(err.splitlines()) == 1
+
 
 class TestReportCommands:
     def test_figure1_json(self, capsys):

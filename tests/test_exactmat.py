@@ -1,66 +1,77 @@
 import random
 
 import pytest
-from oracles import charpoly_signature, cofactor_det, random_matrix, random_symmetric
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import charpoly_signature, cofactor_det, random_matrix, random_symmetric, random_tree, tree_inertia
+from sympy import Matrix
+from sympy.matrices.normalforms import invariant_factors
+from sympy.polys.domains import ZZ
 
 from steincalc.exactmat import (
     IntMatrix,
+    _inertia,
     determinant,
     is_negative_definite,
     signature,
     smith_diagonal,
-    smith_normal_form,
 )
+from steincalc.plumbing import PlumbingGraph, intersection_matrix
 
 
-def snf_reconstructs(M):
-    """left @ M @ right equals the diagonal form; transforms unimodular."""
-    form = smith_normal_form(M)
-    product = form.left @ M @ form.right
-    assert product == form.diagonal_matrix(M.nrows, M.ncols)
-    assert abs(determinant(form.left)) == 1
-    assert abs(determinant(form.right)) == 1
-    d = form.diagonal
-    assert all(x >= 0 for x in d)
-    nonzero = [x for x in d if x != 0]
-    assert all(a <= b and b % a == 0 for a, b in zip(nonzero, nonzero[1:]))
-    assert list(d) == sorted(d, key=lambda x: (x == 0, x)) or all(
-        x == 0 for x in d[len(nonzero) :]
-    )
-    return form
+def sympy_smith_diagonal(M):
+    """Invariant factors from sympy, zero-padded to min(m, n)."""
+    k = min(M.nrows, M.ncols)
+    if k == 0:
+        return ()
+    d = tuple(int(x) for x in invariant_factors(Matrix(M.to_lists()), domain=ZZ))
+    return d + (0,) * (k - len(d))
+
+
+def check_snf(M):
+    d = smith_diagonal(M)
+    assert d == sympy_smith_diagonal(M)
+    return d
 
 
 class TestSmithNormalForm:
     def test_coprime_diagonal(self):
-        form = smith_normal_form(IntMatrix.diagonal([2, 3]))
-        assert form.diagonal == (1, 6)
+        assert smith_diagonal(IntMatrix.diagonal([2, 3])) == (1, 6)
 
     def test_zero_matrix(self):
-        form = smith_normal_form(IntMatrix.zeros(2, 2))
-        assert form.diagonal == (0, 0)
+        assert smith_diagonal(IntMatrix.zeros(2, 2)) == (0, 0)
 
     def test_hyperbolic_block(self):
         # hand row-reduction: [[0,1],[1,2]] ~ diag(1,1)
-        M = IntMatrix([[0, 1], [1, 2]])
-        form = snf_reconstructs(M)
-        assert form.diagonal == (1, 1)
+        assert check_snf(IntMatrix([[0, 1], [1, 2]])) == (1, 1)
 
-    def test_random_reconstruction(self):
+    def test_random_against_invariant_factors(self):
         rng = random.Random(20240)
         for _ in range(150):
             m = rng.randint(1, 8)
             n = rng.randint(1, 8)
-            snf_reconstructs(random_matrix(rng, m, n))
+            check_snf(random_matrix(rng, m, n))
+
+    def test_singular_against_invariant_factors(self):
+        # rank-deficient products and repeated rows force zeros onto the diagonal
+        rng = random.Random(8080)
+        for _ in range(60):
+            m, n, r = rng.randint(2, 7), rng.randint(2, 7), rng.randint(1, 3)
+            A = random_matrix(rng, m, r, bound=4)
+            B = random_matrix(rng, r, n, bound=4)
+            d = check_snf(A @ B)
+            assert sum(1 for x in d if x != 0) <= r
+        check_snf(IntMatrix([[1, 2, 3], [1, 2, 3], [2, 4, 6]]))
 
     def test_rectangular(self):
-        snf_reconstructs(IntMatrix([[2, 4, 6]]))
-        snf_reconstructs(IntMatrix([[2], [4], [6]]))
+        assert check_snf(IntMatrix([[2, 4, 6]])) == (2,)
+        assert check_snf(IntMatrix([[2], [4], [6]])) == (2,)
 
     def test_deterministic(self):
         rng = random.Random(5)
         M = random_matrix(rng, 6, 6)
-        assert smith_normal_form(M) == smith_normal_form(M)
-        assert smith_diagonal(M) == smith_normal_form(M).diagonal
+        assert smith_diagonal(M) == smith_diagonal(M)
+        check_snf(M)
 
     def test_det_is_product_of_diagonal(self):
         rng = random.Random(77)
@@ -120,6 +131,35 @@ class TestSignature:
             M = random_symmetric(rng, rng.randint(1, 7), bound=5)
             assert signature(M) == charpoly_signature(M.to_lists())
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_property_against_charpoly(self, data):
+        # half the draws have a zero diagonal, forcing the hyperbolic pivot
+        n = data.draw(st.integers(1, 7))
+        hyperbolic = data.draw(st.booleans())
+        entry = st.integers(-6, 6)
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                if i == j and hyperbolic:
+                    continue
+                rows[i][j] = rows[j][i] = data.draw(entry)
+        M = IntMatrix(rows)
+        sig = charpoly_signature(rows)
+        assert signature(M) == sig
+        assert is_negative_definite(M) == (sig == -n)
+        pos, neg, zero = _inertia(M)
+        assert pos - neg == sig
+        assert n - zero == sum(1 for d in smith_diagonal(M) if d != 0)
+
+    def test_hyperbolic_blocks(self):
+        H = [[0, 2, 0, 0], [2, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
+        assert _inertia(IntMatrix(H)) == (1, 1, 2)
+        # zero diagonal throughout elimination: pairs (0,1) and (2,3) plus a coupling
+        Z = [[0, 1, 0, 3], [1, 0, 0, 0], [0, 0, 0, -1], [3, 0, -1, 0]]
+        assert signature(IntMatrix(Z)) == charpoly_signature(Z)
+        assert _inertia(IntMatrix(Z)) == (2, 2, 0)
+
     def test_signature_bounded_by_rank(self):
         rng = random.Random(4321)
         for _ in range(100):
@@ -168,7 +208,44 @@ class TestNegativeDefinite:
             assert is_negative_definite(M) == (signature(M) == -n)
 
 
+class TestTreeInertia:
+    def test_small_trees_against_leaf_pruning(self):
+        # weights in [-2, 2]: many zero-weight leaves and hyperbolic planes
+        rng = random.Random(11)
+        for _ in range(300):
+            G = random_tree(rng, rng.randint(1, 10), weight_bound=2)
+            assert _inertia(intersection_matrix(G)) == tree_inertia(G)
+
+    def test_large_trees_against_leaf_pruning(self):
+        rng = random.Random(1981)
+        for n in (200, 240):
+            G = random_tree(rng, n)
+            assert _inertia(intersection_matrix(G)) == tree_inertia(G)
+
+    def test_leaf_pruning_at_a_thousand_vertices(self):
+        # weight <= -degree - 1 is strictly diagonally dominant: negative definite;
+        # reversing orientation swaps n_plus and n_minus
+        rng = random.Random(1000)
+        for n in (500, 1000):
+            G = random_tree(rng, n)
+            pos, neg, zero = tree_inertia(G)
+            assert pos + neg + zero == n
+            flipped = PlumbingGraph([(v, -G.weight(v), 0) for v in G.vertex_ids], G.edges)
+            assert tree_inertia(flipped) == (neg, pos, zero)
+            deg = {v: 0 for v in G.vertex_ids}
+            for a, b in G.edges:
+                deg[a] += 1
+                deg[b] += 1
+            definite = PlumbingGraph([(v, -deg[v] - 1 - rng.randint(0, 2), 0) for v in G.vertex_ids], G.edges)
+            assert tree_inertia(definite) == (0, n, 0)
+
+
 class TestIntMatrix:
+    @pytest.mark.parametrize("entry", [-1.7, 2.0, True, False, None, "3", 1 + 0j])
+    def test_non_integer_entry_rejected(self, entry):
+        with pytest.raises(ValueError, match="not an integer"):
+            IntMatrix([[entry, 1], [0, -1]])
+
     def test_ragged_rejected(self):
         with pytest.raises(ValueError):
             IntMatrix([[1, 2], [3]])

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 
 import pytest
 from oracles import naive_laurent_det, random_seifert_matrix
@@ -86,6 +87,44 @@ class TestAlexander:
                 for i in range(M.nrows)
             ]
             assert alexander(V) == naive_laurent_det(rows).normalized()
+
+    def test_large_entries_against_naive_determinant(self):
+        # entries up to 50 push the Kronecker base B far past the coefficients
+        rng = random.Random(5050)
+        t = LaurentPoly.monomial(1, 1)
+        for bound in (10, 25, 50):
+            for _ in range(8):
+                V = random_seifert_matrix(rng, rng.randint(1, 3), bound=bound)
+                M = V.matrix
+                rows = [
+                    [
+                        LaurentPoly.monomial(M[i, j], 0) - t * LaurentPoly.monomial(M[j, i], 0)
+                        for j in range(M.ncols)
+                    ]
+                    for i in range(M.nrows)
+                ]
+                assert alexander(V) == naive_laurent_det(rows).normalized()
+
+    def test_dense_genus_ten_trefoil_sum(self):
+        V = TREFOIL
+        for _ in range(9):
+            V = connected_sum(V, TREFOIL)
+        n = V.matrix.nrows
+        rng = random.Random(10)
+        P = [[int(i == j) for j in range(n)] for i in range(n)]
+        for _ in range(5 * n):
+            i, j = rng.sample(range(n), 2)
+            s = rng.choice((-1, 1))
+            P[i] = [a + s * b for a, b in zip(P[i], P[j])]
+        P = IntMatrix(P)
+        dense = P @ V.matrix @ P.transpose()
+        assert sum(1 for i in range(n) for j in range(n) if dense[i, j] != 0) > n * n // 2
+        expected = LaurentPoly.one()
+        for _ in range(10):
+            expected = expected * TREFOIL_DELTA
+        start = time.perf_counter()
+        assert alexander(SeifertMatrixK("dense", dense)) == expected
+        assert time.perf_counter() - start < 1.0
 
     def test_symmetric_and_unit_at_one(self):
         rng = random.Random(31337)
