@@ -3,12 +3,15 @@
 Everything here runs on arbitrary-precision Python integers; no float or
 fraction ever enters.  Two fraction-free Bareiss eliminations do the work:
 
-* ``determinant``: the general pass with row swaps;
-* ``_inertia``: a symmetric pass whose pivots are leading principal minors
-  of congruent matrices, giving signature and negative-definiteness.
+* ``determinant``: the general pass with row swaps.  It stays on dense
+  lists, since ``knots.alexander`` feeds it dense Kronecker substitutions;
+* ``_inertia``: a sparse symmetric pass (fewest-nonzeros pivot, lazy row
+  scaling) whose pivots are leading principal minors of congruent
+  matrices, giving signature and negative-definiteness.
 
 ``smith_diagonal`` gives the Smith normal form diagonal (homology
-cokernels) without the unimodular transforms.
+cokernels) without the unimodular transforms: a sparse prepass clears the
++-1 pivots, a dense loop the residual (about a third of a tree's rows).
 
 Signature convention: number of positive minus number of negative
 eigenvalues; zero eigenvalues contribute nothing.
@@ -23,7 +26,10 @@ class IntMatrix:
     __slots__ = ("_rows", "nrows", "ncols")
 
     def __init__(self, rows):
-        rows = tuple(tuple(r) for r in rows)
+        try:
+            rows = tuple(tuple(r) for r in rows)
+        except TypeError:
+            raise ValueError("a matrix is a list of rows") from None
         for r in rows:
             for x in r:
                 if type(x) is not int:
@@ -101,11 +107,34 @@ def smith_diagonal(M: IntMatrix) -> tuple:
     """Smith normal form diagonal d_1, ..., d_min(m,n).
 
     Every d_i >= 0, each nonzero d_i divides its successor and zeros come
-    last.  The pivot is the smallest nonzero absolute value, ties broken by
-    lowest (row, col).
+    last.  A sparse prepass takes +-1 pivots in Markowitz order, each a 1 on
+    the diagonal, leaving the integral Schur complement; a dense loop whose
+    pivot is the least nonzero |entry| (lowest (row, col) on ties) ends it.
     """
-    m, n = M.nrows, M.ncols
-    A = M.to_lists()
+    rows = {i: {j: v for j, v in enumerate(r) if v} for i, r in enumerate(M._rows)}
+    cols = {j: set() for j in range(M.ncols)}
+    for i, r in rows.items():
+        for j in r:
+            cols[j].add(i)
+    while (piv := _unit_pivot(rows, cols)) is not None:
+        p, c = piv
+        rp = rows.pop(p)
+        u = rp.pop(c)
+        for j in rp:
+            cols[j].discard(p)
+        for i in cols.pop(c) - {p}:
+            ri = rows[i]
+            f = ri.pop(c) * u
+            for j, v in rp.items():
+                w = ri.get(j, 0) - f * v
+                if w:
+                    ri[j] = w
+                    cols[j].add(i)
+                else:
+                    del ri[j]
+                    cols[j].discard(i)
+    A = [[r.get(j, 0) for j in cols] for r in rows.values()]
+    m, n = len(A), len(cols)
 
     def swap_cols(i, j):
         for r in A:
@@ -162,7 +191,21 @@ def smith_diagonal(M: IntMatrix) -> tuple:
         if A[t][t] < 0:
             A[t] = [-x for x in A[t]]
 
-    return tuple(A[i][i] for i in range(min(m, n)))
+    return (1,) * (M.nrows - m) + tuple(A[i][i] for i in range(min(m, n)))
+
+
+def _unit_pivot(rows, cols):
+    """The +-1 entry of least Markowitz cost, first found on ties; None if none."""
+    best = None
+    for i, r in rows.items():
+        for j, v in r.items():
+            if v == 1 or v == -1:
+                cost = (len(r) - 1) * (len(cols[j]) - 1)
+                if best is None or cost < best[0]:
+                    if cost == 0:
+                        return i, j
+                    best = (cost, i, j)
+    return best and best[1:]
 
 
 def determinant(M: IntMatrix) -> int:
@@ -196,49 +239,69 @@ def _require_symmetric(M: IntMatrix, op: str) -> None:
 
 
 def _inertia(M: IntMatrix) -> tuple:
-    """(n_plus, n_minus, n_zero) of a symmetric matrix, by symmetric Bareiss.
+    """(n_plus, n_minus, n_zero) of a symmetric matrix, by sparse symmetric Bareiss.
 
-    Step k pivots on a nonzero diagonal entry of the remaining block, moved
-    into place by a symmetric swap.  If that diagonal is all zero but some
-    A[p][j] is not, the unimodular congruence row_p += row_j, col_p += col_j
-    first makes the pivot 2 A[p][j].  Every working entry stays a bordered
-    minor of a matrix congruent to M, so the divisions are exact and pivot k
-    is the leading minor D_k; it counts by the sign of D_k / D_{k-1}
-    (Jacobi).  Once the remaining block is zero the rest is the kernel.
+    Rows are dicts of their nonzero entries.  Each step pivots on a live row
+    with a nonzero diagonal and the fewest nonzeros (on a forest, a leaf: no
+    fill-in); on an all-zero live diagonal the congruence row_p += row_q,
+    col_p += col_q first makes the pivot 2 A[p][q].  Entries are bordered
+    minors of matrices congruent to M, so divisions are exact and pivot k is
+    the leading minor D_k, counted by the sign of D_k / D_{k-1} (Jacobi).
+    Only the pivot's neighbours are updated; a row last updated at pivot D_s
+    is scaled by D_k / D_s when next read.  What never pivots is the kernel.
     """
-    n = M.nrows
-    A = M.to_lists()
-    pos = neg = 0
+    R = {i: {j: v for j, v in enumerate(r) if v} for i, r in enumerate(M._rows)}
+    at = [1] * M.nrows  # row i holds minors as of the step whose pivot was at[i]
     prev = 1
-    for k in range(n):
-        p = next((i for i in range(k, n) if A[i][i] != 0), None)
-        if p is None:
-            pair = next(((i, j) for i in range(k, n) for j in range(i + 1, n) if A[i][j] != 0), None)
-            if pair is None:
+    pos = neg = 0
+
+    def current(i):
+        if at[i] != prev:
+            R[i] = {j: v * prev // at[i] for j, v in R[i].items()}
+            at[i] = prev
+        return R[i]
+
+    while R:
+        piv = min(((len(r), i) for i, r in R.items() if i in r), default=None)
+        if piv is not None:
+            p = piv[1]
+        else:
+            p = next((i for i, r in R.items() if r), None)
+            if p is None:
                 break
-            p, q = pair
-            Ap, Aq = A[p], A[q]
-            for j in range(k, n):
-                Ap[j] += Aq[j]
-            for r in A[k:]:
-                r[p] += r[q]
-        if p != k:
-            A[k], A[p] = A[p], A[k]
-            for r in A[k:]:
-                r[k], r[p] = r[p], r[k]
-        a = A[k][k]
+            rp = current(p)
+            q = next(iter(rp))
+            for j, v in current(q).items():
+                if j != p:
+                    rj, w = R[j], rp.get(j, 0) + v
+                    if w:
+                        rp[j] = w
+                        rj[p] = rj.get(p, 0) + rj[q]
+                    else:
+                        del rp[j], rj[p]
+            rp[p] = 2 * rp[q]
+        rp = current(p)
+        del R[p]
+        a = rp.pop(p)
         if (a > 0) == (prev > 0):
             pos += 1
         else:
             neg += 1
-        Ak = A[k]
-        for i in range(k + 1, n):
-            Ai = A[i]
-            c = Ai[k]
-            for j in range(k + 1, n):
-                Ai[j] = (Ai[j] * a - c * Ak[j]) // prev
+        for i in rp:
+            ri = current(i)
+            c = ri.pop(p)
+            for j, v in ri.items():
+                if j not in rp:
+                    ri[j] = v * a // prev
+            for j, w in rp.items():
+                x = (ri.get(j, 0) * a - c * w) // prev
+                if x:
+                    ri[j] = x
+                else:
+                    ri.pop(j, None)
+            at[i] = a
         prev = a
-    return pos, neg, n - pos - neg
+    return pos, neg, M.nrows - pos - neg
 
 
 def signature(M: IntMatrix) -> int:

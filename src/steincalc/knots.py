@@ -206,6 +206,8 @@ class SeifertMatrixK:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SeifertMatrixK":
+        if not isinstance(data, dict) or not isinstance(data.get("name"), str):
+            raise ValueError("a Seifert matrix is {'name': str, 'matrix': [[int, ...], ...]}")
         return cls(name=data["name"], matrix=IntMatrix(data["matrix"]))
 
     @classmethod
@@ -215,7 +217,10 @@ class SeifertMatrixK:
 
 def load_family(text: str) -> list:
     """Family file: JSON list of {name, matrix}."""
-    return [SeifertMatrixK.from_dict(d) for d in json.loads(text)]
+    data = json.loads(text)
+    if not isinstance(data, list):
+        raise ValueError("a family file is a JSON list of Seifert matrices")
+    return [SeifertMatrixK.from_dict(d) for d in data]
 
 
 def _ceil_norm(v) -> int:

@@ -28,6 +28,13 @@ class MoveError(ValueError):
     """A plumbing move was applied where its preconditions fail."""
 
 
+def _as_int(x, what: str) -> int:
+    """x itself if it is an int; floats, bools, None and strings are errors, never truncated."""
+    if type(x) is not int:
+        raise ValueError(f"{what} {x!r} is not an integer")
+    return x
+
+
 class PlumbingGraph:
     """Decorated tree: vertices (id, weight, genus) plus unordered edges.
 
@@ -41,17 +48,19 @@ class PlumbingGraph:
         order = []
         verts = {}
         for vid, weight, genus in vertices:
-            vid = int(vid)
+            vid = _as_int(vid, "vertex id")
+            weight = _as_int(weight, f"vertex {vid}: weight")
+            genus = _as_int(genus, f"vertex {vid}: genus")
             if vid in verts:
                 raise ValueError(f"duplicate vertex id {vid}")
             if genus < 0:
                 raise ValueError(f"vertex {vid}: genus must be >= 0")
             order.append(vid)
-            verts[vid] = (int(weight), int(genus))
+            verts[vid] = (weight, genus)
         edge_list = []
         edge_set = set()
         for a, b in edges:
-            a, b = int(a), int(b)
+            a, b = _as_int(a, "edge endpoint"), _as_int(b, "edge endpoint")
             if a == b:
                 raise ValueError(f"self-loop at vertex {a}")
             if a not in verts or b not in verts:
@@ -149,8 +158,14 @@ class PlumbingGraph:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PlumbingGraph":
-        verts = [(v["id"], v["weight"], v.get("genus", 0)) for v in data["vertices"]]
-        return cls(verts, [tuple(e) for e in data["edges"]])
+        try:
+            verts = [(v["id"], v["weight"], v.get("genus", 0)) for v in data["vertices"]]
+            edges = [tuple(e) for e in data["edges"]]
+        except (TypeError, AttributeError):
+            raise ValueError(
+                "a graph is {'vertices': [{'id', 'weight', 'genus'}, ...], 'edges': [[a, b], ...]}"
+            ) from None
+        return cls(verts, edges)
 
     @classmethod
     def from_json(cls, text: str) -> "PlumbingGraph":

@@ -142,6 +142,21 @@ def random_tree(rng: random.Random, n: int, weight_bound: int = 4, max_genus: in
     return PlumbingGraph(verts, edges)
 
 
+def resolution_tree(rng: random.Random, n: int, max_genus: int = 1) -> PlumbingGraph:
+    """Negative-definite tree on ids 0..n-1: weight -(max(degree, 2) + 0..2).
+
+    Every row is weakly and every leaf row strictly diagonally dominant, and
+    a tree is connected, so the form is negative definite.
+    """
+    parents = [rng.randrange(i) for i in range(1, n)]
+    deg = [0] * n
+    for child, parent in enumerate(parents, start=1):
+        deg[child] += 1
+        deg[parent] += 1
+    verts = [(v, -max(deg[v], 2) - rng.randint(0, 2), rng.randint(0, max_genus)) for v in range(n)]
+    return PlumbingGraph(verts, [(p, c) for c, p in enumerate(parents, start=1)])
+
+
 def random_seifert_matrix(rng: random.Random, genus: int, bound: int = 3) -> SeifertMatrixK:
     """U + symmetric, where U - U^T is the standard unimodular skew form."""
     n = 2 * genus

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from steincalc.cli import main
 from steincalc.knots import TREFOIL, demo_family
 from steincalc.plumbing import positive_star_reduction, star_graph_left, star_graph_right
@@ -109,6 +111,25 @@ class TestLfCommands:
         assert data["chi_from_fibration"] == data["chi_from_blowups"] == 4
 
 
+    def test_float_weight_is_an_error(self, capsys, tmp_path):
+        # -1.7 once truncated to -1 and printed determinant 1
+        graph = tmp_path / "g.json"
+        graph.write_text(json.dumps({"vertices": [{"id": 0, "weight": -1.7}, {"id": 1, "weight": -2}], "edges": [[0, 1]]}))
+        code, out, err = run(capsys, ["plumb", "invariants", str(graph)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "-1.7" in err
+        assert len(err.splitlines()) == 1
+
+    def test_list_vertices_are_an_error(self, capsys, tmp_path):
+        graph = tmp_path / "g.json"
+        graph.write_text(json.dumps({"vertices": [[0, -2, 0], [1, -2, 0]], "edges": [[0, 1]]}))
+        code, out, err = run(capsys, ["plumb", "invariants", str(graph)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 class TestKnotsCommands:
     def test_alexander(self, capsys, tmp_path):
         matrix = tmp_path / "V.json"
@@ -128,6 +149,15 @@ class TestKnotsCommands:
         assert out == ""
         assert err.startswith("error: ") and "-1.7" in err
         assert len(err.splitlines()) == 1
+
+
+    def test_scalar_matrix_is_an_error(self, capsys, tmp_path):
+        matrix = tmp_path / "V.json"
+        matrix.write_text(json.dumps({"name": "x", "matrix": 5}))
+        code, out, err = run(capsys, ["knots", "alexander", str(matrix)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 class TestReportCommands:
@@ -166,6 +196,18 @@ class TestReportCommands:
             ["report", "thm44", "--g", "2", "--k", "2", "--r", "1", "--family", str(fam)],
         )
         assert code == 0
+
+    @pytest.mark.parametrize("payload", [5, [{"matrix": [[-1, 1], [0, -1]]}], [[[-1, 1], [0, -1]]]])
+    def test_malformed_family_file_is_an_error(self, capsys, tmp_path, payload):
+        fam = tmp_path / "family.json"
+        fam.write_text(json.dumps(payload))
+        code, out, err = run(
+            capsys,
+            ["report", "thm44", "--g", "2", "--k", "2", "--r", "1", "--family", str(fam)],
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
 
     def test_failing_verdict_exits_nonzero(self, capsys, tmp_path):
         fam = tmp_path / "family.json"

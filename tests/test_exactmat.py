@@ -1,9 +1,18 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import charpoly_signature, cofactor_det, random_matrix, random_symmetric, random_tree, tree_inertia
+from oracles import (
+    charpoly_signature,
+    cofactor_det,
+    random_matrix,
+    random_symmetric,
+    random_tree,
+    resolution_tree,
+    tree_inertia,
+)
 from sympy import Matrix
 from sympy.matrices.normalforms import invariant_factors
 from sympy.polys.domains import ZZ
@@ -16,7 +25,7 @@ from steincalc.exactmat import (
     signature,
     smith_diagonal,
 )
-from steincalc.plumbing import PlumbingGraph, intersection_matrix
+from steincalc.plumbing import PlumbingGraph, boundary_homology, intersection_matrix
 
 
 def sympy_smith_diagonal(M):
@@ -62,6 +71,30 @@ class TestSmithNormalForm:
             d = check_snf(A @ B)
             assert sum(1 for x in d if x != 0) <= r
         check_snf(IntMatrix([[1, 2, 3], [1, 2, 3], [2, 4, 6]]))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_property_sparse_forms_against_invariant_factors(self, data):
+        # forms of forests with weights in [-2, 2] (parent -1 starts a new
+        # component): +-1-rich, so the unit prepass does most of the work;
+        # dropping a few rows and columns leaves a rectangular sparse block
+        n = data.draw(st.integers(10, 40))
+        weights = data.draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+        genus = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        parents = [data.draw(st.integers(-1, i - 1)) for i in range(1, n)]
+        rows = [[0] * n for _ in range(n)]
+        for i, w in enumerate(weights):
+            rows[i][i] = w
+        for i, p in enumerate(parents, start=1):
+            if p >= 0:
+                rows[i][p] = rows[p][i] = 1
+        d = check_snf(IntMatrix(rows))
+        if -1 not in parents:
+            G = PlumbingGraph([(i, weights[i], genus[i]) for i in range(n)], [(p, i) for i, p in enumerate(parents, start=1)])
+            assert boundary_homology(G) == (2 * sum(genus) + d.count(0), tuple(x for x in d if x > 1))
+        drop_rows = data.draw(st.sets(st.integers(0, n - 1), max_size=3))
+        drop_cols = data.draw(st.sets(st.integers(0, n - 1), max_size=3))
+        check_snf(IntMatrix([[x for j, x in enumerate(r) if j not in drop_cols] for i, r in enumerate(rows) if i not in drop_rows]))
 
     def test_rectangular(self):
         assert check_snf(IntMatrix([[2, 4, 6]])) == (2,)
@@ -131,13 +164,15 @@ class TestSignature:
             M = random_symmetric(rng, rng.randint(1, 7), bound=5)
             assert signature(M) == charpoly_signature(M.to_lists())
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=600, deadline=None)
     @given(st.data())
     def test_property_against_charpoly(self, data):
-        # half the draws have a zero diagonal, forcing the hyperbolic pivot
-        n = data.draw(st.integers(1, 7))
+        # half the draws have a zero diagonal, forcing the hyperbolic pivot;
+        # half are sparse, so the congruence meets rows the lazy scaling left behind
+        sparse = data.draw(st.booleans())
+        n = data.draw(st.integers(1, 10 if sparse else 7))
         hyperbolic = data.draw(st.booleans())
-        entry = st.integers(-6, 6)
+        entry = st.sampled_from((0, 0, 0, 0, 1, -1, 2, -3)) if sparse else st.integers(-6, 6)
         rows = [[0] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
@@ -218,9 +253,24 @@ class TestTreeInertia:
 
     def test_large_trees_against_leaf_pruning(self):
         rng = random.Random(1981)
-        for n in (200, 240):
+        for n in (200, 240, 500, 1000):
             G = random_tree(rng, n)
             assert _inertia(intersection_matrix(G)) == tree_inertia(G)
+        # resolution trees are definite; zero weights leave an all-zero live
+        # diagonal, so the pair congruence runs
+        for n in (500, 1000):
+            for G in (resolution_tree(rng, n), random_tree(rng, n, weight_bound=2), random_tree(rng, n, weight_bound=0)):
+                assert _inertia(intersection_matrix(G)) == tree_inertia(G)
+
+    def test_thousand_vertex_tree_in_under_a_second(self):
+        rng = random.Random(1000)
+        for G in (random_tree(rng, 1000, weight_bound=2), resolution_tree(rng, 1000)):
+            M = intersection_matrix(G)
+            pos, neg, _ = tree_inertia(G)
+            for kernel, expected in ((signature, pos - neg), (is_negative_definite, neg == 1000)):
+                start = time.perf_counter()
+                assert kernel(M) == expected
+                assert time.perf_counter() - start < 1.0
 
     def test_leaf_pruning_at_a_thousand_vertices(self):
         # weight <= -degree - 1 is strictly diagonally dominant: negative definite;

@@ -41,6 +41,25 @@ class TestConstruction:
         with pytest.raises(ValueError):
             PlumbingGraph([(0, -1, 0), (1, -1, 0)], [(0, 1), (1, 0)])
 
+    @pytest.mark.parametrize("bad", [-1.7, 2.0, True, None, "3"])
+    @pytest.mark.parametrize("slot", ["id", "weight", "genus"])
+    def test_non_integer_field_rejected(self, slot, bad):
+        vertex = {"id": 0, "weight": -2, "genus": 0, slot: bad}
+        with pytest.raises(ValueError, match="not an integer"):
+            PlumbingGraph.from_dict({"vertices": [vertex], "edges": []})
+
+    def test_non_integer_edge_endpoint_rejected(self):
+        with pytest.raises(ValueError, match="not an integer"):
+            PlumbingGraph([(0, -2, 0), (1, -2, 0)], [(0, 1.0)])
+
+    @pytest.mark.parametrize(
+        "data",
+        [[], {"vertices": [[0, -2, 0]], "edges": []}, {"vertices": 3, "edges": []}, {"vertices": [], "edges": [5]}],
+    )
+    def test_wrong_shape_rejected(self, data):
+        with pytest.raises(ValueError, match="a graph is"):
+            PlumbingGraph.from_dict(data)
+
     def test_json_roundtrip(self):
         G = star_graph_right(2, (2, 3))
         assert PlumbingGraph.from_dict(G.to_dict()) == G
