@@ -29,7 +29,6 @@ from .mcg import (
     lf_euler_characteristic,
     pair,
     section_count,
-    transvection,
     word_action,
 )
 from .plumbing import (

@@ -362,8 +362,17 @@ class Move:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Move":
-        edge = tuple(d["edge"]) if "edge" in d else None
-        return cls(op=d["op"], vertex=d.get("vertex"), edge=edge, sign=d.get("sign", -1))
+        shape = "a move is {'op': ..., 'vertex': id | 'edge': [a, b], 'sign': +-1}"
+        if not isinstance(d, dict) or "op" not in d:
+            raise ValueError(shape)
+        edge = d.get("edge")
+        if "edge" in d or d["op"] == BLOW_UP_ON_EDGE:
+            if not isinstance(edge, list) or len(edge) != 2:
+                raise ValueError(shape)
+            edge = tuple(_as_int(v, "move edge endpoint") for v in edge)
+        vertex = _as_int(d["vertex"], "move vertex") if "vertex" in d else None
+        sign = _as_int(d.get("sign", -1), "move sign")
+        return cls(op=d["op"], vertex=vertex, edge=edge, sign=sign)
 
 
 class MoveScript:
@@ -385,7 +394,10 @@ class MoveScript:
 
     @classmethod
     def from_json(cls, text: str) -> "MoveScript":
-        return cls([Move.from_dict(d) for d in json.loads(text)])
+        data = json.loads(text)
+        if not isinstance(data, list):
+            raise ValueError("a move script is a list of moves")
+        return cls([Move.from_dict(d) for d in data])
 
     def __len__(self):
         return len(self.moves)

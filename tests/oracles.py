@@ -3,7 +3,8 @@
 Everything here deliberately avoids the code paths under test: cofactor
 expansion instead of Bareiss, characteristic-polynomial root counting and
 leaf pruning on trees instead of symmetric elimination, Laplace expansion
-instead of Kronecker substitution for polynomial determinants.
+instead of Kronecker substitution for polynomial determinants, dense
+transvection products instead of sparse column updates for twist words.
 """
 
 import random
@@ -11,6 +12,7 @@ from fractions import Fraction
 
 from steincalc.exactmat import IntMatrix
 from steincalc.knots import LaurentPoly, SeifertMatrixK
+from steincalc.mcg import SurfaceSpec, TwistWord
 from steincalc.plumbing import PlumbingGraph
 
 
@@ -119,6 +121,29 @@ def naive_laurent_det(rows) -> LaurentPoly:
         term = entry * naive_laurent_det(minor)
         total = total + term if j % 2 == 0 else total - term
     return total
+
+
+def intersection_form(S: SurfaceSpec) -> IntMatrix:
+    """J with <a_i, b_i> = +1 blocks; boundary classes pair trivially."""
+    n = S.h1_rank
+    J = [[0] * n for _ in range(n)]
+    for i in range(S.genus):
+        J[2 * i][2 * i + 1] = 1
+        J[2 * i + 1][2 * i] = -1
+    return IntMatrix(J)
+
+
+def dense_word_action(w: TwistWord) -> IntMatrix:
+    """Product of dense transvections I + p c (c^T J), leftmost letter first."""
+    n = w.surface.h1_rank
+    J = intersection_form(w.surface)
+    M = IntMatrix.identity(n)
+    for name, p in w.letters:
+        c = w.curves[name].homology_class
+        ctj = [sum(c[k] * J[k, j] for k in range(n)) for j in range(n)]
+        T = IntMatrix([[(1 if i == j else 0) + p * c[i] * ctj[j] for j in range(n)] for i in range(n)])
+        M = T @ M
+    return M
 
 
 def random_symmetric(rng: random.Random, n: int, bound: int = 9) -> IntMatrix:

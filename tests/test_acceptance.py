@@ -9,7 +9,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product
 
-from oracles import random_seifert_matrix, random_tree
+from oracles import intersection_form, random_seifert_matrix, random_tree
 
 from steincalc.exactmat import IntMatrix, determinant, signature
 from steincalc.knots import (
@@ -23,15 +23,14 @@ from steincalc.knots import (
 from steincalc.mcg import (
     Curve,
     SurfaceSpec,
+    TwistWord,
     exceptional_class,
     fiber_class,
     hyperelliptic_half_word,
     hyperelliptic_word,
     hyperplane_class,
-    intersection_pairing_matrix,
     lf_euler_characteristic,
     pair,
-    transvection,
     word_action,
 )
 from steincalc.plumbing import (
@@ -89,9 +88,9 @@ def test_criterion_2_homological_relation_certificates():
             g = rng.randint(1, 5)
             r = rng.choice((0, 0, 2, 3))
             S = SurfaceSpec(g, r)
-            J = intersection_pairing_matrix(S)
+            J = intersection_form(S)
             c = Curve("c", tuple(rng.randint(-3, 3) for _ in range(S.h1_rank)))
-            T = transvection(c, S)
+            T = word_action(TwistWord(S, (("c", 1),), {"c": c}))
             assert T.transpose() @ J @ T == J
 
 

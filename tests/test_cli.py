@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -43,6 +44,18 @@ class TestPlumbCommands:
         code, _, err = run(capsys, ["plumb", "moves", str(graph), str(script)])
         assert code == 2
         assert "move 0" in err
+
+    @pytest.mark.parametrize("payload", [[5], {}, [{"op": "blow_down", "vertex": 1.0}]])
+    def test_malformed_move_script_is_an_error(self, capsys, tmp_path, payload):
+        # vertex 1 is a +1 leaf, so the float blow-down once ran and exited 0
+        graph = tmp_path / "g.json"
+        script = tmp_path / "s.json"
+        graph.write_text(json.dumps(star_graph_left(1, (1, 3)).to_dict()))
+        script.write_text(json.dumps(payload))
+        code, out, err = run(capsys, ["plumb", "moves", str(graph), str(script)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 class TestSeifertCommands:
@@ -94,6 +107,23 @@ class TestMcgCommands:
         assert code == 0
         assert json.loads(out)["action"] == [[1, 1], [0, 1]]
 
+    @pytest.mark.parametrize(
+        "payload", [{"c1": [1.9, 0], "c2": [0, 1]}, {"c1": 5}, [1, 2]], ids=["float", "scalar", "list"]
+    )
+    def test_malformed_curve_file_is_an_error(self, capsys, tmp_path, payload):
+        # the float class once printed the action of (1, 0) and exited 0
+        word = tmp_path / "w.txt"
+        word.write_text("c1 c2")
+        curves = tmp_path / "c.json"
+        curves.write_text(json.dumps(payload))
+        code, out, err = run(
+            capsys,
+            ["mcg", "action", "--word", str(word), "--surface", "1,0", "--curves", str(curves)],
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
 
 class TestLfCommands:
     def test_chi_hyperelliptic(self, capsys):
@@ -102,6 +132,14 @@ class TestLfCommands:
         data = json.loads(out)
         assert data["singular_fibers"] == 28
         assert data["chi_from_fibration"] == data["chi_from_blowups"] == 20
+
+    def test_chi_hyperelliptic_genus_300_in_under_a_second(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run(capsys, ["lf", "chi", "--catalog", "hyperelliptic", "--param", "300"])
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        assert json.loads(out)["singular_fibers"] == 8 * 300 + 4
+        assert elapsed < 1.0, f"lf chi at genus 300 took {elapsed:.2f}s"
 
     def test_chi_korkmaz(self, capsys):
         code, out, _ = run(capsys, ["lf", "chi", "--catalog", "korkmaz", "--param", "2"])

@@ -1,6 +1,10 @@
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import dense_word_action, intersection_form
 
 from steincalc.exactmat import IntMatrix
 from steincalc.mcg import (
@@ -13,7 +17,6 @@ from steincalc.mcg import (
     hyperelliptic_half_word,
     hyperelliptic_word,
     hyperplane_class,
-    intersection_pairing_matrix,
     korkmaz_word,
     lf_euler_characteristic,
     load_curves,
@@ -22,7 +25,6 @@ from steincalc.mcg import (
     parse_word,
     section_classes,
     section_count,
-    transvection,
     word_action,
 )
 
@@ -31,10 +33,15 @@ def random_class(rng, n):
     return tuple(rng.randint(-3, 3) for _ in range(n))
 
 
+def twist(c, S):
+    """Action of the one-letter word t_c."""
+    return word_action(TwistWord(S, (("c", 1),), {"c": Curve("c", c)}))
+
+
 class TestTransvection:
     def test_twist_along_a_sends_b(self):
         S = SurfaceSpec(1, 0)
-        T = transvection(Curve("a1", (1, 0)), S)
+        T = twist((1, 0), S)
         # t_{a1}(b1) = b1 + a1 in the (a1, b1) basis
         assert [T[0, 1], T[1, 1]] == [1, 1]
         assert [T[0, 0], T[1, 0]] == [1, 0]
@@ -44,14 +51,13 @@ class TestTransvection:
         for g in (1, 2, 3):
             S = SurfaceSpec(g, 0)
             c = random_class(rng, S.h1_rank)
-            T = transvection(Curve("c", c), S)
+            T = twist(c, S)
             image = [sum(T[i, j] * c[j] for j in range(S.h1_rank)) for i in range(S.h1_rank)]
             assert tuple(image) == c
 
     def test_boundary_parallel_is_identity(self):
         S = SurfaceSpec(2, 1)  # one boundary component: its class is zero
-        T = transvection(Curve("d", (0,) * S.h1_rank), S)
-        assert T == IntMatrix.identity(S.h1_rank)
+        assert twist((0,) * S.h1_rank, S) == IntMatrix.identity(S.h1_rank)
 
     def test_preserves_pairing(self):
         rng = random.Random(12)
@@ -59,8 +65,8 @@ class TestTransvection:
             g = rng.randint(1, 5)
             r = rng.choice((0, 0, 2, 3))
             S = SurfaceSpec(g, r)
-            J = intersection_pairing_matrix(S)
-            T = transvection(Curve("c", random_class(rng, S.h1_rank)), S)
+            J = intersection_form(S)
+            T = twist(random_class(rng, S.h1_rank), S)
             assert T.transpose() @ J @ T == J
 
     def test_inverse(self):
@@ -69,13 +75,44 @@ class TestTransvection:
             g = rng.randint(1, 4)
             S = SurfaceSpec(g, 0)
             c = Curve("c", random_class(rng, S.h1_rank))
-            assert transvection(c, S) @ transvection(c, S, power=-1) == IntMatrix.identity(
-                S.h1_rank
-            )
+            w = TwistWord(S, (("c", 1), ("c", -1)), {"c": c})
+            assert word_action(w) == IntMatrix.identity(S.h1_rank)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            transvection(Curve("c", (1, 0)), SurfaceSpec(2, 0))
+        with pytest.raises(ValueError, match="class has length"):
+            twist((1, 0), SurfaceSpec(2, 0))
+
+    @pytest.mark.parametrize("bad", [1.9, 1.0, True, None, "1"])
+    def test_non_integer_class_rejected(self, bad):
+        with pytest.raises(ValueError, match="not an integer"):
+            Curve("c", (bad, 0))
+
+
+@st.composite
+def curve_words(draw):
+    g = draw(st.integers(0, 4))
+    S = SurfaceSpec(g, draw(st.sampled_from((0, 1, 2, 3))))
+    n = S.h1_rank
+    entries = st.integers(-3, 3) | st.just(0)
+    names = [f"x{i}" for i in range(draw(st.integers(1, 4)))]
+    table = {name: Curve(name, tuple(draw(st.lists(entries, min_size=n, max_size=n)))) for name in names}
+    names.append("zero")
+    table["zero"] = Curve("zero", (0,) * n)
+    letters = draw(st.lists(st.tuples(st.sampled_from(names), st.integers(-2, 3)), max_size=8))
+    vectors = st.lists(st.integers(-9, 9), min_size=n, max_size=n)
+    return TwistWord(S, tuple(letters), table), draw(vectors), draw(vectors)
+
+
+@settings(max_examples=300, deadline=None)
+@given(curve_words())
+def test_word_action_against_dense_oracle(case):
+    w, x, y = case
+    M = word_action(w)
+    assert M == dense_word_action(w)
+    n = w.surface.h1_rank
+    Mx = [sum(M[i, j] * x[j] for j in range(n)) for i in range(n)]
+    My = [sum(M[i, j] * y[j] for j in range(n)) for i in range(n)]
+    assert pairing(w.surface, Mx, My) == pairing(w.surface, x, y)
 
 
 class TestWordAction:
@@ -93,6 +130,13 @@ class TestWordAction:
     def test_full_word_is_identity(self):
         for g in (1, 2, 3):
             assert word_action(hyperelliptic_word(g)) == IntMatrix.identity(2 * g)
+
+    def test_genus_100_half_word_in_under_a_second(self):
+        start = time.perf_counter()
+        M = word_action(hyperelliptic_half_word(100))
+        elapsed = time.perf_counter() - start
+        assert M == IntMatrix.diagonal([-1] * 200)
+        assert elapsed < 1.0, f"genus-100 half word took {elapsed:.2f}s"
 
     def test_missing_curve_rejected(self):
         S = SurfaceSpec(1, 0)
@@ -113,6 +157,16 @@ class TestHyperellipticWord:
         for g in range(1, 6):
             curves = chain_curves(g)
             assert len(curves) == 2 * g + 1
+
+    def test_chain_classes_pair_as_a_chain(self):
+        # every pair through the dense form; the gate skips disjoint supports
+        for g in range(1, 8):
+            J = intersection_form(SurfaceSpec(g, 0))
+            curves = chain_curves(g)
+            rows = [IntMatrix([list(curves[f"c{i}"].homology_class)]) for i in range(1, 2 * g + 2)]
+            for i, x in enumerate(rows):
+                for j, y in enumerate(rows):
+                    assert abs((x @ J @ y.transpose())[0, 0]) == (1 if abs(i - j) == 1 else 0)
 
 
 class TestKorkmazWord:
@@ -140,7 +194,7 @@ class TestKorkmazWord:
         table = {n: Curve(n, random_class(rng, S.h1_rank)) for n in names}
         w = korkmaz_word(m, curves=table)
         M = word_action(w)
-        J = intersection_pairing_matrix(S)
+        J = intersection_form(S)
         assert M.transpose() @ J @ M == J
 
 
@@ -230,6 +284,11 @@ class TestWordDSL:
     def test_load_curves_checks_rank(self):
         with pytest.raises(ValueError):
             load_curves('{"x": [1, 0, 0]}', SurfaceSpec(1, 0))
+
+    @pytest.mark.parametrize("text", ['{"x": 5}', "[1, 2]", '{"x": "10"}', '{"x": [1.9, 0]}'])
+    def test_load_curves_rejects_wrong_shapes(self, text):
+        with pytest.raises(ValueError):
+            load_curves(text, SurfaceSpec(1, 0))
 
 
 class TestSurfaceSpec:
