@@ -15,7 +15,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import knots, mcg, plumbing, reports, seifert
+from . import knots, mcg, plumbing, reports, seifert, smooth4
 from .exactmat import IntMatrix, determinant, is_negative_definite, signature
 from .plumbing import PlumbingGraph, intersection_matrix
 
@@ -117,16 +117,12 @@ def _cmd_mcg_action(args) -> int:
 
 def _cmd_lf_chi(args) -> int:
     if args.catalog == "hyperelliptic":
-        g = args.param
-        word = mcg.hyperelliptic_word(g)
-        n = word.letter_count
-        blowup_chi = 2 + 1 + (4 * g + 5)
+        word = mcg.hyperelliptic_word(args.param, curves=None)
+        blowup_chi = smooth4.make_X_g1(args.param).euler_char
     else:
-        m = args.param
-        g = 2 * m + 1
-        word = mcg.korkmaz_word(m)
-        n = word.letter_count
-        blowup_chi = (4 - 4 * m) + 8
+        word = mcg.korkmaz_word(args.param)
+        blowup_chi = smooth4.make_W(args.param).euler_char
+    g, n = word.surface.genus, word.letter_count
     chi = mcg.lf_euler_characteristic(g, n)
     _dump(
         {

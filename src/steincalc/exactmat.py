@@ -10,14 +10,24 @@ fraction ever enters.  Two fraction-free Bareiss eliminations do the work:
   matrices, giving signature and negative-definiteness.
 
 ``smith_diagonal`` gives the Smith normal form diagonal (homology
-cokernels) without the unimodular transforms: a sparse prepass clears the
-+-1 pivots, a dense loop the residual (about a third of a tree's rows).
+cokernels) without the unimodular transforms, by one sparse elimination
+on least-|entry| pivots (Markowitz cost breaks ties) and a final
+pairwise gcd/lcm pass.
 
 Signature convention: number of positive minus number of negative
 eigenvalues; zero eigenvalues contribute nothing.
 """
 
 from __future__ import annotations
+
+from math import gcd
+
+
+def _as_int(x, what: str) -> int:
+    """x itself if it is an int; floats, bools, None and strings are errors, never truncated."""
+    if type(x) is not int:
+        raise ValueError(f"{what} {x!r} is not an integer")
+    return x
 
 
 class IntMatrix:
@@ -32,8 +42,7 @@ class IntMatrix:
             raise ValueError("a matrix is a list of rows") from None
         for r in rows:
             for x in r:
-                if type(x) is not int:
-                    raise ValueError(f"matrix entry {x!r} is not an integer")
+                _as_int(x, "matrix entry")
         if rows:
             width = len(rows[0])
             if any(len(r) != width for r in rows):
@@ -107,105 +116,68 @@ def smith_diagonal(M: IntMatrix) -> tuple:
     """Smith normal form diagonal d_1, ..., d_min(m,n).
 
     Every d_i >= 0, each nonzero d_i divides its successor and zeros come
-    last.  A sparse prepass takes +-1 pivots in Markowitz order, each a 1 on
-    the diagonal, leaving the integral Schur complement; a dense loop whose
-    pivot is the least nonzero |entry| (lowest (row, col) on ties) ends it.
+    last.  One sparse elimination on dict rows: the pivot is the nonzero of
+    least |value|, ties broken by least Markowitz cost (r-1)(c-1), then by
+    first found.  Floor-quotient row operations clear its column; once the
+    column is clear, column operations reduce its row modulo the pivot
+    (touching that row alone).  A remainder is a new least entry, so the
+    pivot is chosen again; a pivot alone in its row and column is recorded.
+    A pairwise (gcd, lcm) pass turns the recorded diagonal into Smith form.
     """
     rows = {i: {j: v for j, v in enumerate(r) if v} for i, r in enumerate(M._rows)}
     cols = {j: set() for j in range(M.ncols)}
     for i, r in rows.items():
         for j in r:
             cols[j].add(i)
-    while (piv := _unit_pivot(rows, cols)) is not None:
-        p, c = piv
-        rp = rows.pop(p)
-        u = rp.pop(c)
-        for j in rp:
-            cols[j].discard(p)
-        for i in cols.pop(c) - {p}:
+    diag = []
+    while True:
+        best = None
+        for i, r in rows.items():
+            for j, v in r.items():
+                a = v if v > 0 else -v
+                if best is None or a <= best[0]:
+                    cost = (len(r) - 1) * (len(cols[j]) - 1)
+                    if best is None or a < best[0] or cost < best[1]:
+                        best = (a, cost, i, j)
+                        if a == 1 and cost == 0:
+                            break
+            else:
+                continue
+            break
+        if best is None:
+            break
+        _, _, p, c = best
+        rp = rows[p]
+        u = rp[c]
+        for i in cols[c] - {p}:
             ri = rows[i]
-            f = ri.pop(c) * u
+            q = ri[c] // u
             for j, v in rp.items():
-                w = ri.get(j, 0) - f * v
+                w = ri.get(j, 0) - q * v
                 if w:
                     ri[j] = w
                     cols[j].add(i)
                 else:
                     del ri[j]
                     cols[j].discard(i)
-    A = [[r.get(j, 0) for j in cols] for r in rows.values()]
-    m, n = len(A), len(cols)
-
-    def swap_cols(i, j):
-        for r in A:
-            r[i], r[j] = r[j], r[i]
-
-    for t in range(min(m, n)):
-        piv = None
-        for i in range(t, m):
-            for j in range(t, n):
-                v = A[i][j]
-                if v != 0 and (piv is None or abs(v) < abs(A[piv[0]][piv[1]])):
-                    piv = (i, j)
-        if piv is None:
-            break
-        A[t], A[piv[0]] = A[piv[0]], A[t]
-        swap_cols(t, piv[1])
-        while True:
-            # Clear column t below the pivot, trading places on nonzero
-            # remainders until the pivot is the column gcd.
-            restart = False
-            for i in range(t + 1, m):
-                if A[i][t] == 0:
-                    continue
-                q = A[i][t] // A[t][t]
-                Ai, At = A[i], A[t]
-                for j in range(n):
-                    Ai[j] -= q * At[j]
-                if A[i][t] != 0:
-                    A[t], A[i] = A[i], A[t]
-                    restart = True
-            if restart:
-                continue
-            for j in range(t + 1, n):
-                if A[t][j] == 0:
-                    continue
-                q = A[t][j] // A[t][t]
-                for r in A:
-                    r[j] -= q * r[t]
-                if A[t][j] != 0:
-                    swap_cols(t, j)
-                    restart = True
-            if restart:
-                continue
-            # Divisibility sweep: the pivot must divide the rest of the block.
-            offender = next(
-                (i for i in range(t + 1, m) for j in range(t + 1, n) if A[i][j] % A[t][t] != 0),
-                None,
-            )
-            if offender is None:
-                break
-            At, Ao = A[t], A[offender]
-            for j in range(n):
-                At[j] += Ao[j]
-        if A[t][t] < 0:
-            A[t] = [-x for x in A[t]]
-
-    return (1,) * (M.nrows - m) + tuple(A[i][i] for i in range(min(m, n)))
-
-
-def _unit_pivot(rows, cols):
-    """The +-1 entry of least Markowitz cost, first found on ties; None if none."""
-    best = None
-    for i, r in rows.items():
-        for j, v in r.items():
-            if v == 1 or v == -1:
-                cost = (len(r) - 1) * (len(cols[j]) - 1)
-                if best is None or cost < best[0]:
-                    if cost == 0:
-                        return i, j
-                    best = (cost, i, j)
-    return best and best[1:]
+        if len(cols[c]) > 1:
+            continue
+        for j in [j for j in rp if j != c]:
+            w = rp[j] % u
+            if w:
+                rp[j] = w
+            else:
+                del rp[j]
+                cols[j].discard(p)
+        if len(rp) == 1:
+            diag.append(abs(u))
+            del rows[p], cols[c]
+    d = [x for x in diag if x != 1]  # the pass would only move the 1s to the front
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            g = gcd(d[i], d[j])
+            d[i], d[j] = g, d[i] // g * d[j]
+    return (1,) * (len(diag) - len(d)) + tuple(d) + (0,) * (min(M.nrows, M.ncols) - len(diag))
 
 
 def determinant(M: IntMatrix) -> int:

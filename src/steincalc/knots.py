@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass
 from math import isqrt
 
-from .exactmat import IntMatrix, determinant
+from .exactmat import IntMatrix, _as_int, determinant
 
 
 class NonSymmetricPolynomial(ValueError):
@@ -34,9 +34,8 @@ class LaurentPoly:
         items = {}
         if coeffs:
             for e, c in dict(coeffs).items():
-                c = int(c)
-                if c != 0:
-                    items[int(e)] = c
+                if _as_int(c, "coefficient") != 0:
+                    items[_as_int(e, "exponent")] = c
         self._coeffs = dict(sorted(items.items()))
 
     @classmethod

@@ -27,8 +27,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .exactmat import IntMatrix
-from .plumbing import _as_int
+from .exactmat import IntMatrix, _as_int
 
 
 @dataclass(frozen=True)
@@ -69,9 +68,8 @@ class TwistWord:
     curves: dict | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "letters", tuple((str(n), int(e)) for n, e in self.letters)
-        )
+        letters = tuple((str(n), _as_int(e, f"letter {n!r}: exponent")) for n, e in self.letters)
+        object.__setattr__(self, "letters", letters)
         if self.curves is not None:
             for name, _ in self.letters:
                 if name not in self.curves:
@@ -164,8 +162,15 @@ def chain_curves(g: int) -> dict:
     return curves
 
 
-def hyperelliptic_half_word(g: int) -> TwistWord:
-    """c1 c2 ... c_{2g} c_{2g+1}^2 c_{2g} ... c2 c1 (4g + 2 letters)."""
+_CHAIN = object()  # default curve table of the hyperelliptic words: chain_curves(g)
+
+
+def hyperelliptic_half_word(g: int, curves: dict | None = _CHAIN) -> TwistWord:
+    """c1 c2 ... c_{2g} c_{2g+1}^2 c_{2g} ... c2 c1 (4g + 2 letters).
+
+    The curve table defaults to the gated chain_curves(g), which costs
+    O(g^2); curves=None gives a counting-only word, as for korkmaz_word.
+    """
     if g < 1:
         raise ValueError("genus must be >= 1")
     letters = (
@@ -173,12 +178,12 @@ def hyperelliptic_half_word(g: int) -> TwistWord:
         + [(f"c{2 * g + 1}", 2)]
         + [(f"c{i}", 1) for i in range(2 * g, 0, -1)]
     )
-    return TwistWord(SurfaceSpec(g, 0), tuple(letters), chain_curves(g))
+    return TwistWord(SurfaceSpec(g, 0), tuple(letters), chain_curves(g) if curves is _CHAIN else curves)
 
 
-def hyperelliptic_word(g: int) -> TwistWord:
+def hyperelliptic_word(g: int, curves: dict | None = _CHAIN) -> TwistWord:
     """The full relator word: the half word squared, 8g + 4 letters."""
-    half = hyperelliptic_half_word(g)
+    half = hyperelliptic_half_word(g, curves)
     return TwistWord(half.surface, half.letters + half.letters, half.curves)
 
 
@@ -217,7 +222,8 @@ class HomologyClassX:
     coefficients: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "coefficients", tuple(int(x) for x in self.coefficients))
+        coeffs = tuple(_as_int(x, "class coefficient") for x in self.coefficients)
+        object.__setattr__(self, "coefficients", coeffs)
         if len(self.coefficients) != 4 * self.g + 6:
             raise ValueError(
                 f"class needs {4 * self.g + 6} coefficients, got {len(self.coefficients)}"

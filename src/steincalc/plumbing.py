@@ -21,18 +21,11 @@ import json
 import warnings
 from dataclasses import dataclass
 
-from .exactmat import IntMatrix, is_negative_definite, smith_diagonal
+from .exactmat import IntMatrix, _as_int, is_negative_definite, smith_diagonal
 
 
 class MoveError(ValueError):
     """A plumbing move was applied where its preconditions fail."""
-
-
-def _as_int(x, what: str) -> int:
-    """x itself if it is an int; floats, bools, None and strings are errors, never truncated."""
-    if type(x) is not int:
-        raise ValueError(f"{what} {x!r} is not an integer")
-    return x
 
 
 class PlumbingGraph:
@@ -178,7 +171,7 @@ def star_graph_left(h: int, ps) -> PlumbingGraph:
     This is the circle-bundle presentation of the boundary with central
     piece a genus-h surface times S^1.
     """
-    ps = tuple(int(p) for p in ps)
+    ps = tuple(_as_int(p, "leg multiplicity") for p in ps)
     if not ps:
         raise ValueError("at least one leg is required")
     if any(p < 1 for p in ps):
@@ -196,7 +189,7 @@ def star_graph_right(h: int, ps) -> PlumbingGraph:
     A p_i = 1 entry yields an empty leg; the central weight still counts
     it, which is flagged with a warning.
     """
-    ps = tuple(int(p) for p in ps)
+    ps = tuple(_as_int(p, "leg multiplicity") for p in ps)
     if not ps:
         raise ValueError("at least one leg is required")
     if any(p < 1 for p in ps):
@@ -416,7 +409,7 @@ def positive_star_reduction(h: int, ps) -> MoveScript:
     becomes p-1 vertices of weight -2, matching star_graph_right(h, ps) up
     to vertex ids.
     """
-    ps = tuple(int(p) for p in ps)
+    ps = tuple(_as_int(p, "leg multiplicity") for p in ps)
     if not ps or any(p < 1 for p in ps):
         raise ValueError("leg multiplicities must be positive")
     moves = []

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from . import bibliography
 from .bibliography import DERIVED
+from .exactmat import _as_int
 from .knots import alexander, demo_family, family_report
 from .mcg import lf_euler_characteristic
 from .plumbing import (
@@ -153,7 +154,7 @@ def _fmt_seifert(sd) -> str:
 
 def report_figure1(h: int, ps) -> Report:
     """Equivalence of the positive star and its reduced negative form."""
-    ps = tuple(int(p) for p in ps)
+    ps = tuple(_as_int(p, "multiplicity") for p in ps)
     if not ps or any(p < 2 for p in ps):
         raise ValueError("multiplicities must all be >= 2")
     if h < 0:

@@ -25,7 +25,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactmat import IntMatrix, smith_diagonal
+from .exactmat import IntMatrix, _as_int, smith_diagonal
 from .plumbing import PlumbingGraph
 
 
@@ -78,7 +78,8 @@ class OpenBookDesc:
     powers: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "powers", tuple(int(p) for p in self.powers))
+        _as_int(self.page_genus, "page genus")
+        object.__setattr__(self, "powers", tuple(_as_int(p, "twist power") for p in self.powers))
         if self.page_genus < 0:
             raise ValueError("page genus must be >= 0")
         if len(self.powers) < 1:

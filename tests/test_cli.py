@@ -141,6 +141,14 @@ class TestLfCommands:
         assert json.loads(out)["singular_fibers"] == 8 * 300 + 4
         assert elapsed < 1.0, f"lf chi at genus 300 took {elapsed:.2f}s"
 
+    def test_chi_hyperelliptic_genus_1000_in_a_quarter_second(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run(capsys, ["lf", "chi", "--catalog", "hyperelliptic", "--param", "1000"])
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        assert json.loads(out)["singular_fibers"] == 8 * 1000 + 4
+        assert elapsed < 0.25, f"lf chi at genus 1000 took {elapsed:.2f}s"
+
     def test_chi_korkmaz(self, capsys):
         code, out, _ = run(capsys, ["lf", "chi", "--catalog", "korkmaz", "--param", "2"])
         assert code == 0

@@ -1,3 +1,4 @@
+import math
 import random
 import time
 
@@ -47,6 +48,9 @@ class TestSmithNormalForm:
     def test_coprime_diagonal(self):
         assert smith_diagonal(IntMatrix.diagonal([2, 3])) == (1, 6)
 
+    def test_diagonal_needs_gcd_lcm_pass(self):
+        assert check_snf(IntMatrix.diagonal([4, 6, 1, 0, 10])) == (1, 2, 2, 60, 0)
+
     def test_zero_matrix(self):
         assert smith_diagonal(IntMatrix.zeros(2, 2)) == (0, 0)
 
@@ -75,11 +79,12 @@ class TestSmithNormalForm:
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_property_sparse_forms_against_invariant_factors(self, data):
-        # forms of forests with weights in [-2, 2] (parent -1 starts a new
-        # component): +-1-rich, so the unit prepass does most of the work;
-        # dropping a few rows and columns leaves a rectangular sparse block
+        # forms of forests with weights in [-2, 2] or [-4, 4] (parent -1
+        # starts a new component); dropping a few rows and columns leaves a
+        # rectangular sparse block
         n = data.draw(st.integers(10, 40))
-        weights = data.draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+        bound = data.draw(st.sampled_from((2, 4)))
+        weights = data.draw(st.lists(st.integers(-bound, bound), min_size=n, max_size=n))
         genus = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
         parents = [data.draw(st.integers(-1, i - 1)) for i in range(1, n)]
         rows = [[0] * n for _ in range(n)]
@@ -105,6 +110,15 @@ class TestSmithNormalForm:
         M = random_matrix(rng, 6, 6)
         assert smith_diagonal(M) == smith_diagonal(M)
         check_snf(M)
+
+    def test_hundred_vertex_resolution_trees_in_under_a_second(self):
+        rng = random.Random(100)
+        for _ in range(15):
+            M = intersection_matrix(resolution_tree(rng, 100))
+            start = time.perf_counter()
+            d = smith_diagonal(M)
+            assert time.perf_counter() - start < 1.0
+            assert math.prod(d) == abs(determinant(M))
 
     def test_det_is_product_of_diagonal(self):
         rng = random.Random(77)

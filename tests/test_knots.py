@@ -51,6 +51,11 @@ class TestLaurentPoly:
         assert str(LaurentPoly({2: 1, 0: -1, -2: 1})) == "t^2 - 1 + t^-2"
         assert str(LaurentPoly.zero()) == "0"
 
+    @pytest.mark.parametrize("coeffs", [{0: 1.7, 1: 2}, {0: 2.0}, {1.2: 2}, {0: True}, {"1": 1}, {0: None}])
+    def test_non_integer_rejected(self, coeffs):
+        with pytest.raises(ValueError, match="not an integer"):
+            LaurentPoly(coeffs)
+
     def test_json_roundtrip(self):
         p = LaurentPoly({3: -2, 0: 5, -3: -2})
         assert LaurentPoly.from_dict(p.to_dict()) == p

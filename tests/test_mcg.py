@@ -9,6 +9,7 @@ from oracles import dense_word_action, intersection_form
 from steincalc.exactmat import IntMatrix
 from steincalc.mcg import (
     Curve,
+    HomologyClassX,
     SurfaceSpec,
     TwistWord,
     chain_curves,
@@ -87,6 +88,11 @@ class TestTransvection:
         with pytest.raises(ValueError, match="not an integer"):
             Curve("c", (bad, 0))
 
+    @pytest.mark.parametrize("bad", [1.9, 1.0, True, None, "1"])
+    def test_non_integer_exponent_rejected(self, bad):
+        with pytest.raises(ValueError, match="not an integer"):
+            TwistWord(SurfaceSpec(1, 0), (("c1", bad),))
+
 
 @st.composite
 def curve_words(draw):
@@ -149,6 +155,9 @@ class TestHyperellipticWord:
         for g in (1, 2, 3, 4, 5):
             assert hyperelliptic_word(g).letter_count == 8 * g + 4
             assert hyperelliptic_half_word(g).letter_count == 4 * g + 2
+            counting = hyperelliptic_word(g, curves=None)
+            assert counting.curves is None
+            assert counting.letters == hyperelliptic_word(g).letters
 
     def test_g1_count(self):
         assert hyperelliptic_word(1).letter_count == 12
@@ -239,6 +248,11 @@ class TestFiberClass:
     def test_length_validation(self):
         with pytest.raises(ValueError):
             type(fiber_class(1))(1, (0,) * 5)
+
+    @pytest.mark.parametrize("bad", [1.9, 1.0, True, None, "1"])
+    def test_non_integer_coefficient_rejected(self, bad):
+        with pytest.raises(ValueError, match="not an integer"):
+            HomologyClassX(1, (bad,) + (0,) * 9)
 
 
 class TestSections:

@@ -86,6 +86,12 @@ class TestStarGraphs:
         with pytest.raises(ValueError):
             star_graph_left(1, (0,))
 
+    @pytest.mark.parametrize("build", [star_graph_left, star_graph_right, positive_star_reduction])
+    @pytest.mark.parametrize("bad", [2.9, 3.0, True, None, "3"])
+    def test_non_integer_multiplicity_rejected(self, build, bad):
+        with pytest.raises(ValueError, match="not an integer"):
+            build(1, (bad, 3))
+
     def test_right_single_leg(self):
         G = star_graph_right(3, (2,))
         assert [G.weight(v) for v in G.vertex_ids] == [-1, -2]

@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -38,6 +39,17 @@ class TestFigure1:
         assert rpt.overall
         expected = -(Fraction(1, 2) + Fraction(1, 3) + Fraction(1, 5))
         assert f"e = {expected}" in rpt.invariants["Seifert data"]
+
+    def test_twenty_fibers_in_under_a_second(self):
+        start = time.perf_counter()
+        rpt = report_figure1(1, (9, 5, 4, 6, 2, 4, 7, 7, 4, 2, 5, 8, 9, 5, 8, 8, 6, 6, 3, 9))
+        assert time.perf_counter() - start < 1.0
+        assert rpt.overall
+
+    @pytest.mark.parametrize("bad", [2.9, 3.0, True, None, "3"])
+    def test_non_integer_multiplicity_rejected(self, bad):
+        with pytest.raises(ValueError, match="not an integer"):
+            report_figure1(1, (bad, 3))
 
     def test_rejects_unit_multiplicity(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,7 @@
 import json
+import math
+import random
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -153,6 +156,13 @@ class TestOpenBook:
         with pytest.raises(ValueError):
             OpenBookDesc(1, (0,))
 
+    @pytest.mark.parametrize(
+        "genus, powers", [(2.5, (2, 3)), (2, (2.7, 3)), (1, (3.0,)), (1, (True,)), (1, (None,)), (1, ("3",))]
+    )
+    def test_non_integer_rejected(self, genus, powers):
+        with pytest.raises(ValueError, match="not an integer"):
+            OpenBookDesc(genus, powers)
+
     def test_json_roundtrip(self):
         ob = OpenBookDesc(2, (2, 3, 5))
         assert OpenBookDesc.from_json(json.dumps(ob.to_dict())) == ob
@@ -173,6 +183,21 @@ class TestCrossChecks:
                     assert hom == boundary_homology(star_graph_left(h, ps))
                     assert hom == boundary_homology(star_graph_right(h, ps))
                     assert sd_ob.euler_number < 0
+
+
+    def test_many_fiber_stars_in_under_a_second(self):
+        # e = -(1/p_1 + ... + 1/p_r) on the reduced star, so the torsion
+        # order |e| * prod p_i is sum_i prod_{j != i} p_j (Orlik)
+        rng = random.Random(20)
+        for legs in (12, 20):
+            for _ in range(5):
+                ps = tuple(rng.randint(2, 9) for _ in range(legs))
+                start = time.perf_counter()
+                rank, torsion = boundary_homology(star_graph_right(1, ps))
+                assert time.perf_counter() - start < 1.0
+                assert (rank, torsion) == openbook_homology(OpenBookDesc(1, ps))
+                assert rank == 2
+                assert math.prod(torsion) == sum(math.prod(ps) // p for p in ps)
 
 
 class TestSeifertDataValidation:
