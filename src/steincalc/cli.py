@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import knots, mcg, plumbing, reports, seifert, smooth4
-from .exactmat import IntMatrix, determinant, is_negative_definite, signature
+from .exactmat import IntMatrix, determinant, signature
 from .plumbing import PlumbingGraph, intersection_matrix
 
 
@@ -31,12 +31,13 @@ def _dump(data, out: str | None) -> None:
 def _graph_invariants(G: PlumbingGraph) -> dict:
     M = intersection_matrix(G)
     rank, torsion = plumbing.boundary_homology(G)
+    sig = signature(M)
     return {
         "graph": G.to_dict(),
         "intersection_matrix": M.to_lists(),
         "determinant": determinant(M),
-        "signature": signature(M),
-        "negative_definite": is_negative_definite(M),
+        "signature": sig,
+        "negative_definite": sig == -M.nrows,
         "boundary_homology": {"rank": rank, "torsion": list(torsion)},
     }
 
@@ -81,8 +82,7 @@ def _cmd_seifert_from_star(args) -> int:
 
 
 def _cmd_seifert_open_book(args) -> int:
-    powers = tuple(int(p) for p in args.powers.split(","))
-    ob = seifert.OpenBookDesc(page_genus=args.genus, powers=powers)
+    ob = seifert.OpenBookDesc(page_genus=args.genus, powers=_parse_powers(args.powers))
     rank, torsion = seifert.openbook_homology(ob)
     payload = _seifert_payload(seifert.openbook_manifold(ob))
     payload["open_book"] = ob.to_dict()
@@ -141,7 +141,7 @@ def _cmd_lf_chi(args) -> int:
 def _cmd_knots_alexander(args) -> int:
     V = knots.SeifertMatrixK.from_json(Path(args.matrix).read_text())
     delta = knots.alexander(V)
-    cert = knots.fibered_certificate(V)
+    cert = knots.fibered_certificate(delta, V.genus)
     _dump(
         {
             "name": V.name,

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import combinations
 from math import isqrt
 
 from .exactmat import IntMatrix, _as_int, determinant
@@ -263,16 +264,15 @@ class FiberednessCheck:
     reasons: tuple
 
 
-def fibered_certificate(V: SeifertMatrixK) -> FiberednessCheck:
-    """Necessary conditions only: Delta monic and of span 2 * genus."""
-    delta = alexander(V)
+def fibered_certificate(delta: LaurentPoly, genus: int) -> FiberednessCheck:
+    """Necessary conditions only: the caller's Delta is monic and of span 2 * genus."""
     monic = abs(delta.leading_coefficient) == 1
-    span_ok = delta.span == 2 * V.genus
+    span_ok = delta.span == 2 * genus
     reasons = []
     if not monic:
         reasons.append(f"leading coefficient {delta.leading_coefficient} is not +-1")
     if not span_ok:
-        reasons.append(f"span {delta.span} != 2*genus = {2 * V.genus}")
+        reasons.append(f"span {delta.span} != 2*genus = {2 * genus}")
     return FiberednessCheck(
         passes=monic and span_ok, monic=monic, span_matches=span_ok, reasons=tuple(reasons)
     )
@@ -311,20 +311,19 @@ class FamilyReport:
 
 
 def family_report(family, k: int) -> FamilyReport:
-    """Gate a family: every member genus k, certificate passes, Delta pairwise distinct."""
+    """Gate a family: every member genus k, certificate passes, Delta pairwise distinct.
+
+    Each member's Delta is computed once; the certificate and the collision scan read it.
+    """
     family = list(family)
     if not family:
         raise ValueError("family required")
     genus_failures = tuple(V.name for V in family if V.genus != k)
-    fibered_failures = tuple(
-        (V.name, fibered_certificate(V).reasons) for V in family if not fibered_certificate(V).passes
-    )
-    deltas = [(V.name, alexander(V)) for V in family]
-    collisions = []
-    for i in range(len(deltas)):
-        for j in range(i + 1, len(deltas)):
-            if deltas[i][1] == deltas[j][1]:
-                collisions.append((deltas[i][0], deltas[j][0]))
+    deltas = [alexander(V) for V in family]
+    certs = [fibered_certificate(delta, V.genus) for V, delta in zip(family, deltas)]
+    fibered_failures = tuple((V.name, c.reasons) for V, c in zip(family, certs) if not c.passes)
+    pairs = combinations(zip(family, deltas), 2)
+    collisions = tuple((V.name, W.name) for (V, dv), (W, dw) in pairs if dv == dw)
     return FamilyReport(
         expected_genus=k,
         members=tuple(V.name for V in family),
@@ -332,8 +331,8 @@ def family_report(family, k: int) -> FamilyReport:
         fibered_ok=not fibered_failures,
         distinct_ok=not collisions,
         genus_failures=genus_failures,
-        fibered_failures=tuple(fibered_failures),
-        collisions=tuple(collisions),
+        fibered_failures=fibered_failures,
+        collisions=collisions,
     )
 
 

@@ -274,12 +274,15 @@ def section_classes(g: int) -> list:
 
 # -- word DSL and curve files --------------------------------------------------
 
+MAX_WORD_LETTERS = 10**6  # longest letter sequence a group power may expand to
+
 
 def parse_word(text: str, surface: SurfaceSpec, curves: dict | None = None) -> TwistWord:
     """Parse tokens like ``c1 c2 c3^2 (c2 c1)^-1`` into a TwistWord.
 
     A group raised to a negative power is inverted: reversed order,
-    negated exponents.
+    negated exponents.  A power that would take its sequence past
+    MAX_WORD_LETTERS letters is rejected before it is expanded.
     """
     tokens = text.replace("(", " ( ").replace(")", " ) ").replace("^", " ^ ").split()
     pos = 0
@@ -299,7 +302,10 @@ def parse_word(text: str, surface: SurfaceSpec, curves: dict | None = None) -> T
                 if pos >= len(tokens) or tokens[pos] != ")":
                     raise ValueError("unbalanced '('")
                 pos += 1
-                letters.extend(_power(group, _maybe_exponent()))
+                exp = _maybe_exponent()
+                if len(letters) + len(group) * abs(exp) > MAX_WORD_LETTERS:
+                    raise ValueError(f"a group power expands the word past {MAX_WORD_LETTERS} letters")
+                letters.extend(_power(group, exp))
             elif tok == "^":
                 raise ValueError("dangling '^'")
             else:
@@ -321,7 +327,7 @@ def parse_word(text: str, surface: SurfaceSpec, curves: dict | None = None) -> T
         return 1
 
     def _power(group, exp):
-        if exp == 0:
+        if exp == 0 or not group:
             return []
         if exp > 0:
             return group * exp

@@ -17,7 +17,7 @@ from fractions import Fraction
 from . import bibliography
 from .bibliography import DERIVED
 from .exactmat import _as_int
-from .knots import alexander, demo_family, family_report
+from .knots import demo_family, family_report
 from .mcg import lf_euler_characteristic
 from .plumbing import (
     boundary_homology,
@@ -226,8 +226,6 @@ def report_thm44(g: int, k: int, r: int, family=None) -> Report:
     if not 1 <= r <= 4 * g + 3:
         raise ValueError(f"r must satisfy 1 <= r <= 4g+3 = {4 * g + 3}")
     members = _load_or_demo_family(family, k)
-    if not members:
-        raise ValueError("family required")
 
     rpt = Report(
         title=f"Simply-connected exotic fillings: g={g}, k={k}, r={r}",
@@ -267,7 +265,7 @@ def report_thm44(g: int, k: int, r: int, family=None) -> Report:
 
     distinct = distinguisher_distinct(fillings)
     rpt.invariants["distinguishers"] = "; ".join(
-        f"{V.name}: {alexander(V).substitute_power(2)}" for V in members
+        f"{V.name}: {f.sw_distinguisher}" for V, f in zip(members, fillings)
     )
     rpt.check(
         f"all {distinct.pairs_total} distinguisher pairs distinct",

@@ -5,6 +5,7 @@ import pytest
 
 from steincalc.cli import main
 from steincalc.knots import TREFOIL, demo_family
+from steincalc.mcg import MAX_WORD_LETTERS
 from steincalc.plumbing import positive_star_reduction, star_graph_left, star_graph_right
 
 
@@ -123,6 +124,25 @@ class TestMcgCommands:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "(c1 c2)^99999999999999999999",
+            f"(c1 c2)^{MAX_WORD_LETTERS // 2 + 1}",
+            f"(c1 c2)^-{MAX_WORD_LETTERS // 2 + 1}",
+            f"c1 (c1 c2)^{MAX_WORD_LETTERS // 2}",
+        ],
+        ids=["power-1e20", "just-past", "inverse-just-past", "running-total"],
+    )
+    def test_oversized_group_power_is_an_error(self, capsys, tmp_path, text):
+        word = tmp_path / "w.txt"
+        word.write_text(text)
+        code, out, err = run(capsys, ["mcg", "action", "--word", str(word), "--surface", "1,0"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert str(MAX_WORD_LETTERS) in err
 
 
 class TestLfCommands:

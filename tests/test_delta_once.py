@@ -1,0 +1,76 @@
+"""Each pipeline stage computes a member's Alexander polynomial once.
+
+A report computes Delta twice per member: once in the family gate (read by
+the fiberedness certificate and the collision scan) and once in knot
+surgery.  The distinguisher line is read off the fillings, not recomputed.
+"""
+
+import json
+import sys
+
+import pytest
+
+from steincalc import knots
+from steincalc.cli import main
+from steincalc.knots import TREFOIL, LaurentPoly
+from steincalc.reports import report_corollary55, report_thm44, report_thm53
+
+# Normalized Delta of the demo-family blocks, written out by hand.
+TREFOIL_DELTA = LaurentPoly({1: 1, 0: -1, -1: 1})
+FIG8_DELTA = LaurentPoly({1: 1, 0: -3, -1: 1})
+TORUS_2_5_DELTA = LaurentPoly({2: 1, 1: -1, 0: 1, -1: -1, -2: 1})
+CHAIN_2_DELTA = LaurentPoly({2: 1, 1: 2, 0: -5, -1: 2, -2: 1})
+
+
+@pytest.fixture
+def alexander_calls(monkeypatch):
+    """Matrices passed to knots.alexander, through every steincalc.* binding of it."""
+    calls = []
+    original = knots.alexander
+
+    def counted(V):
+        calls.append(V)
+        return original(V)
+
+    for name, module in list(sys.modules.items()):
+        if name == "steincalc" or name.startswith("steincalc."):
+            for attr, obj in list(vars(module).items()):
+                if obj is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "build, calls",
+    [
+        (lambda: report_thm44(2, 2, 1), 10),
+        (lambda: report_thm53(1, 3, 2), 10),
+        (lambda: report_corollary55(9), 20),
+    ],
+    ids=["thm44", "thm53", "cor55"],
+)
+def test_report_computes_delta_twice_per_member(alexander_calls, build, calls):
+    assert build().overall
+    assert len(alexander_calls) == calls
+
+
+def test_cli_alexander_computes_delta_once(alexander_calls, capsys, tmp_path):
+    matrix = tmp_path / "V.json"
+    matrix.write_text(json.dumps(TREFOIL.to_dict()))
+    assert main(["knots", "alexander", str(matrix)]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["fibered_certificate"]["passes"] is True
+    assert len(alexander_calls) == 1
+
+
+def test_thm44_distinguisher_line_matches_block_goldens():
+    members = [
+        ("trefoil # trefoil", TREFOIL_DELTA * TREFOIL_DELTA),
+        ("trefoil # figure-eight", TREFOIL_DELTA * FIG8_DELTA),
+        ("figure-eight # figure-eight", FIG8_DELTA * FIG8_DELTA),
+        ("torus(2,5)", TORUS_2_5_DELTA),
+        ("chain(2)", CHAIN_2_DELTA),
+    ]
+    line = report_thm44(2, 2, 1).invariants["distinguishers"]
+    assert line == "; ".join(f"{name}: {delta.substitute_power(2)}" for name, delta in members)
+    assert line.startswith("trefoil # trefoil: t^4 - 2*t^2 + 3 - 2*t^-2 + t^-4; ")

@@ -162,18 +162,24 @@ class TestSeifertMatrixValidation:
 
 class TestFiberedCertificate:
     def test_trefoil_passes(self):
-        cert = fibered_certificate(TREFOIL)
+        cert = fibered_certificate(alexander(TREFOIL), TREFOIL.genus)
         assert cert.passes and cert.monic and cert.span_matches
 
     def test_non_monic_fails(self):
         V = SeifertMatrixK("twist", IntMatrix([[-1, 1], [0, 2]]))
-        assert alexander(V) == LaurentPoly({1: 2, 0: -5, -1: 2})
-        cert = fibered_certificate(V)
+        delta = alexander(V)
+        assert delta == LaurentPoly({1: 2, 0: -5, -1: 2})
+        cert = fibered_certificate(delta, V.genus)
         assert not cert.passes and not cert.monic
         assert any("monic" in r or "coefficient" in r for r in cert.reasons)
 
     def test_unknot_passes(self):
-        assert fibered_certificate(UNKNOT).passes
+        assert fibered_certificate(alexander(UNKNOT), UNKNOT.genus).passes
+
+    def test_span_short_of_genus_fails(self):
+        cert = fibered_certificate(TREFOIL_DELTA, 2)
+        assert not cert.passes and cert.monic and not cert.span_matches
+        assert cert.reasons == ("span 2 != 2*genus = 4",)
 
 
 class TestConnectedSum:

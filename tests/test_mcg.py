@@ -8,6 +8,7 @@ from oracles import dense_word_action, intersection_form
 
 from steincalc.exactmat import IntMatrix
 from steincalc.mcg import (
+    MAX_WORD_LETTERS,
     Curve,
     HomologyClassX,
     SurfaceSpec,
@@ -294,6 +295,15 @@ class TestWordDSL:
             parse_word("(c1", SurfaceSpec(1, 0))
         with pytest.raises(ValueError):
             parse_word("c1)", SurfaceSpec(1, 0))
+
+    def test_group_power_up_to_the_bound(self):
+        w = parse_word(f"c1 c2 (c1 c2)^{MAX_WORD_LETTERS // 2 - 1}", SurfaceSpec(1, 0))
+        assert len(w.letters) == MAX_WORD_LETTERS
+
+    def test_empty_group_any_power(self):
+        # [] * 10**20 raises OverflowError, so an empty group never expands
+        w = parse_word("()^99999999999999999999 c1", SurfaceSpec(1, 0))
+        assert w.letters == (("c1", 1),)
 
     def test_load_curves_checks_rank(self):
         with pytest.raises(ValueError):
