@@ -289,6 +289,9 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:  # a JSON file or a word nested past the interpreter's stack
+        print("error: input nested too deeply", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -3,11 +3,16 @@
 Everything here runs on arbitrary-precision Python integers; no float or
 fraction ever enters.  Two fraction-free Bareiss eliminations do the work:
 
-* ``determinant``: the general pass with row swaps.  It stays on dense
-  lists, since ``knots.alexander`` feeds it dense Kronecker substitutions;
-* ``_inertia``: a sparse symmetric pass (fewest-nonzeros pivot, lazy row
-  scaling) whose pivots are leading principal minors of congruent
-  matrices, giving signature and negative-definiteness.
+* ``_pivots``: a sparse symmetric pass (fewest-nonzeros pivot, lazy row
+  scaling) whose pivots are the leading principal minors D_1, D_2, ... of
+  matrices congruent to M by unimodular moves.  It is the one kernel of
+  symmetric forms: ``signature`` counts the pivot signs (Jacobi),
+  ``is_negative_definite`` stops at the first pivot of the wrong sign,
+  and ``determinant`` of a symmetric matrix is the last pivot D_n (0 if
+  a kernel is left);
+* the dense pass with row swaps in ``determinant``, which serves only
+  non-symmetric input: the dense Kronecker substitutions V - B V^T and
+  the skew forms V - V^T of ``knots``.
 
 ``smith_diagonal`` gives the Smith normal form diagonal (homology
 cokernels) without the unimodular transforms, by one sparse elimination
@@ -181,12 +186,22 @@ def smith_diagonal(M: IntMatrix) -> tuple:
 
 
 def determinant(M: IntMatrix) -> int:
-    """Exact determinant via fraction-free Bareiss elimination."""
+    """Exact determinant.
+
+    A symmetric M is read off the sparse pivot pass of ``_pivots``: its
+    last pivot D_n is det M, and a pass that pivots fewer than n rows
+    leaves a kernel, so det M = 0.  Non-symmetric input (``knots`` passes
+    V - B V^T and V - V^T) takes a dense fraction-free Bareiss pass with
+    row swaps.
+    """
     if not M.is_square:
         raise ValueError("determinant requires a square matrix")
     n = M.nrows
-    if n == 0:
-        return 1
+    if M.is_symmetric:
+        k, d = 0, 1
+        for k, d in enumerate(_pivots(M), 1):
+            pass
+        return d if k == n else 0
     A = M.to_lists()
     sign = 1
     prev = 1
@@ -210,22 +225,23 @@ def _require_symmetric(M: IntMatrix, op: str) -> None:
         raise ValueError(f"{op} requires a symmetric matrix")
 
 
-def _inertia(M: IntMatrix) -> tuple:
-    """(n_plus, n_minus, n_zero) of a symmetric matrix, by sparse symmetric Bareiss.
+def _pivots(M: IntMatrix):
+    """Yield the pivots D_1, D_2, ... of a symmetric matrix, by sparse symmetric Bareiss.
 
     Rows are dicts of their nonzero entries.  Each step pivots on a live row
     with a nonzero diagonal and the fewest nonzeros (on a forest, a leaf: no
     fill-in); on an all-zero live diagonal the congruence row_p += row_q,
-    col_p += col_q first makes the pivot 2 A[p][q].  Entries are bordered
-    minors of matrices congruent to M, so divisions are exact and pivot k is
-    the leading minor D_k, counted by the sign of D_k / D_{k-1} (Jacobi).
-    Only the pivot's neighbours are updated; a row last updated at pivot D_s
-    is scaled by D_k / D_s when next read.  What never pivots is the kernel.
+    col_p += col_q first makes the pivot 2 A[p][q].  Symmetric swaps and
+    that congruence are unimodular, and entries are bordered minors of the
+    congruent matrices, so divisions are exact, pivot k is the leading
+    minor D_k, and D_n = det M when every row pivots.  Only the pivot's
+    neighbours are updated, after the pivot is yielded; a row last updated
+    at pivot D_s is scaled by D_k / D_s when next read.  What never pivots
+    is the kernel.
     """
     R = {i: {j: v for j, v in enumerate(r) if v} for i, r in enumerate(M._rows)}
     at = [1] * M.nrows  # row i holds minors as of the step whose pivot was at[i]
     prev = 1
-    pos = neg = 0
 
     def current(i):
         if at[i] != prev:
@@ -240,7 +256,7 @@ def _inertia(M: IntMatrix) -> tuple:
         else:
             p = next((i for i, r in R.items() if r), None)
             if p is None:
-                break
+                return
             rp = current(p)
             q = next(iter(rp))
             for j, v in current(q).items():
@@ -255,10 +271,7 @@ def _inertia(M: IntMatrix) -> tuple:
         rp = current(p)
         del R[p]
         a = rp.pop(p)
-        if (a > 0) == (prev > 0):
-            pos += 1
-        else:
-            neg += 1
+        yield a
         for i in rp:
             ri = current(i)
             c = ri.pop(p)
@@ -273,6 +286,23 @@ def _inertia(M: IntMatrix) -> tuple:
                     ri.pop(j, None)
             at[i] = a
         prev = a
+
+
+def _inertia(M: IntMatrix) -> tuple:
+    """(n_plus, n_minus, n_zero) of a symmetric matrix.
+
+    Counts the pivots of ``_pivots`` by Jacobi's rule: D_k / D_{k-1} > 0
+    is a positive eigenvalue, < 0 a negative one; rows that never pivot
+    are the kernel.
+    """
+    pos = neg = 0
+    prev = 1
+    for a in _pivots(M):
+        if (a > 0) == (prev > 0):
+            pos += 1
+        else:
+            neg += 1
+        prev = a
     return pos, neg, M.nrows - pos - neg
 
 
@@ -286,4 +316,8 @@ def signature(M: IntMatrix) -> int:
 def is_negative_definite(M: IntMatrix) -> bool:
     """True iff every eigenvalue is negative (the empty form included)."""
     _require_symmetric(M, "is_negative_definite")
-    return _inertia(M)[1] == M.nrows
+    k = 0
+    for k, d in enumerate(_pivots(M), 1):
+        if (d > 0) != (k % 2 == 0):  # D_k of a negative-definite form has sign (-1)^k
+            return False
+    return k == M.nrows

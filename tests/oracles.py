@@ -2,9 +2,10 @@
 
 Everything here deliberately avoids the code paths under test: cofactor
 expansion instead of Bareiss, characteristic-polynomial root counting and
-leaf pruning on trees instead of symmetric elimination, Laplace expansion
-instead of Kronecker substitution for polynomial determinants, dense
-transvection products instead of sparse column updates for twist words.
+leaf pruning on trees (inertia and determinant) instead of symmetric
+elimination, Laplace expansion instead of Kronecker substitution for
+polynomial determinants, dense transvection products instead of sparse
+column updates for twist words.
 """
 
 import random
@@ -65,20 +66,21 @@ def charpoly_signature(rows) -> int:
     return pos - neg
 
 
-def tree_inertia(G: PlumbingGraph) -> tuple:
-    """(n_plus, n_minus, n_zero) of a plumbing forest's form by leaf pruning.
+def _leaf_pruning(G: PlumbingGraph):
+    """Split a plumbing forest's form into blocks by leaf pruning.
 
     Neumann 1981 (Trans. AMS 268): a leaf v of nonzero weight w splits off
-    as <w>, adding -1/w to its neighbour's weight; a leaf of weight 0 spans
-    a hyperbolic plane with its neighbour u, and u's other edges decouple.
-    Linear in the number of vertices.
+    as <w>, adding -1/w to its neighbour's weight (a Schur complement); a
+    leaf of weight 0 spans a hyperbolic plane with its neighbour u, and u's
+    other edges decouple; an isolated vertex splits off as <w>.  Yields w
+    (a Fraction) for each <w> and None for each hyperbolic plane.  Linear
+    in the number of vertices.
     """
     w = {v: Fraction(G.weight(v)) for v in G.vertex_ids}
     nbrs = {v: set() for v in w}
     for a, b in G.edges:
         nbrs[a].add(b)
         nbrs[b].add(a)
-    counts = [0, 0, 0]
     stack = [v for v in w if len(nbrs[v]) <= 1]
     done = set()
     while stack:
@@ -87,23 +89,45 @@ def tree_inertia(G: PlumbingGraph) -> tuple:
             continue
         done.add(v)
         if not nbrs[v]:
-            counts[0 if w[v] > 0 else 1 if w[v] < 0 else 2] += 1
+            yield w[v]
             continue
         (u,) = nbrs.pop(v)
         nbrs[u].discard(v)
         if w[v] != 0:
-            counts[0 if w[v] > 0 else 1] += 1
+            yield w[v]
             w[u] -= 1 / w[v]
             freed = [u]
         else:
-            counts[0] += 1
-            counts[1] += 1
+            yield None
             done.add(u)
             freed = nbrs.pop(u)
             for x in freed:
                 nbrs[x].discard(u)
         stack.extend(x for x in freed if len(nbrs[x]) <= 1)
+
+
+def tree_inertia(G: PlumbingGraph) -> tuple:
+    """(n_plus, n_minus, n_zero) of a plumbing forest's form by leaf pruning."""
+    counts = [0, 0, 0]
+    for d in _leaf_pruning(G):
+        if d is None:
+            counts[0] += 1
+            counts[1] += 1
+        else:
+            counts[0 if d > 0 else 1 if d < 0 else 2] += 1
     return tuple(counts)
+
+
+def tree_det(G: PlumbingGraph) -> int:
+    """Determinant of a plumbing forest's form by leaf pruning over Fractions.
+
+    The product of the split-off weights, times -1 for each hyperbolic plane.
+    """
+    det = Fraction(1)
+    for d in _leaf_pruning(G):
+        det *= -1 if d is None else d
+    assert det.denominator == 1
+    return int(det)
 
 
 def naive_laurent_det(rows) -> LaurentPoly:

@@ -1,7 +1,9 @@
 import json
+import random
 import time
 
 import pytest
+from oracles import resolution_tree, tree_det
 
 from steincalc.cli import main
 from steincalc.knots import TREFOIL, demo_family
@@ -25,6 +27,19 @@ class TestPlumbCommands:
         assert data["negative_definite"] is True
         assert data["boundary_homology"] == {"rank": 4, "torsion": [5]}
         assert data["determinant"] == 5
+
+    def test_three_hundred_vertex_tree_in_under_a_second(self, capsys, tmp_path):
+        # a dense O(n^3) determinant once took ~4 s here
+        G = resolution_tree(random.Random(300), 300)
+        graph = tmp_path / "tree.json"
+        graph.write_text(json.dumps(G.to_dict()))
+        start = time.perf_counter()
+        code, out, _ = run(capsys, ["plumb", "invariants", str(graph)])
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        data = json.loads(out)
+        assert data["determinant"] == tree_det(G)
+        assert data["negative_definite"] is True
 
     def test_moves(self, capsys, tmp_path):
         graph = tmp_path / "g.json"
@@ -57,6 +72,29 @@ class TestPlumbCommands:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["plumb", "invariants", "{json}"],
+        ["knots", "alexander", "{json}"],
+        ["report", "thm44", "--g", "2", "--k", "2", "--r", "1", "--family", "{json}"],
+        ["mcg", "action", "--word", "{word}", "--surface", "1,0"],
+    ],
+    ids=["plumb-invariants", "knots-alexander", "report-family", "mcg-word"],
+)
+def test_deep_nesting_is_an_error(capsys, tmp_path, argv):
+    # a deep JSON file or word once ended in a RecursionError traceback with exit 1
+    deep_json = tmp_path / "deep.json"
+    deep_json.write_text("[" * 100_000 + "]" * 100_000)
+    deep_word = tmp_path / "deep.txt"
+    deep_word.write_text("(" * 50_000 + "c1" + ")" * 50_000)
+    argv = [a.format(json=deep_json, word=deep_word) for a in argv]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: input nested too deeply\n"
 
 
 class TestSeifertCommands:

@@ -12,12 +12,14 @@ from oracles import (
     random_symmetric,
     random_tree,
     resolution_tree,
+    tree_det,
     tree_inertia,
 )
 from sympy import Matrix
 from sympy.matrices.normalforms import invariant_factors
 from sympy.polys.domains import ZZ
 
+from steincalc import exactmat
 from steincalc.exactmat import (
     IntMatrix,
     _inertia,
@@ -156,6 +158,45 @@ class TestDeterminant:
             M = random_matrix(rng, n, n)
             assert determinant(M) == cofactor_det(M.to_lists())
 
+    def test_symmetric_against_cofactor_oracle(self):
+        # the sparse pivot pass: dense, sparse, zero-diagonal and low-rank forms
+        rng = random.Random(31)
+        for _ in range(150):
+            n = rng.randint(1, 8)
+            entries = rng.choice([(0, 0, 0, 1, -1, 2, -3), tuple(range(-4, 5))])
+            zero_diagonal = rng.random() < 0.4
+            rows = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    if i != j or not zero_diagonal:
+                        rows[i][j] = rows[j][i] = rng.choice(entries)
+            u = [rng.randint(-2, 2) for _ in range(n)]
+            v = [rng.randint(-2, 2) for _ in range(n)]
+            singular = [[u[i] * u[j] - v[i] * v[j] for j in range(n)] for i in range(n)]
+            for form in (rows, singular):
+                assert determinant(IntMatrix(form)) == cofactor_det(form)
+
+    def test_non_symmetric_against_cofactor_oracle(self):
+        rng = random.Random(32)
+        for _ in range(80):
+            n = rng.randint(2, 8)
+            rows = random_matrix(rng, n, n, bound=rng.choice((1, 4))).to_lists()
+            if all(rows[i][j] == rows[j][i] for i in range(n) for j in range(i)):
+                rows[0][1] += 1
+            assert not IntMatrix(rows).is_symmetric
+            assert determinant(IntMatrix(rows)) == cofactor_det(rows)
+
+    def test_trees_against_leaf_pruning(self):
+        # weight_bound 0 and 2 leave all-zero live diagonals, so the pair congruence runs
+        rng = random.Random(1206)
+        for n in (1, 2, 3, 5, 8, 13, 30, 100, 300, 1000):
+            graphs = [random_tree(rng, n, weight_bound=b) for b in (0, 2, 4)] + [resolution_tree(rng, n)]
+            for G in graphs:
+                assert determinant(intersection_matrix(G)) == tree_det(G)
+        for _ in range(300):
+            G = random_tree(rng, rng.randint(1, 12), weight_bound=rng.choice((0, 1, 2)))
+            assert determinant(intersection_matrix(G)) == tree_det(G)
+
 
 class TestSignature:
     def test_diagonal(self):
@@ -236,6 +277,22 @@ class TestNegativeDefinite:
         with pytest.raises(ValueError):
             is_negative_definite(IntMatrix([[1, 2], [0, 1]]))
 
+    def test_stops_at_first_wrong_pivot(self, monkeypatch):
+        drawn = []
+        pivots = exactmat._pivots
+
+        def counted(M):
+            for d in pivots(M):
+                drawn.append(d)
+                yield d
+
+        monkeypatch.setattr(exactmat, "_pivots", counted)
+        # the leaf of weight 1 pivots first and settles the answer
+        chain = PlumbingGraph([(0, 1, 0)] + [(v, -3, 0) for v in range(1, 50)], [(v - 1, v) for v in range(1, 50)])
+        M = intersection_matrix(chain)
+        assert not is_negative_definite(M)
+        assert drawn == [1]
+
     def test_implies_signature_and_det_sign(self):
         rng = random.Random(2718)
         found = 0
@@ -281,7 +338,8 @@ class TestTreeInertia:
         for G in (random_tree(rng, 1000, weight_bound=2), resolution_tree(rng, 1000)):
             M = intersection_matrix(G)
             pos, neg, _ = tree_inertia(G)
-            for kernel, expected in ((signature, pos - neg), (is_negative_definite, neg == 1000)):
+            kernels = ((signature, pos - neg), (is_negative_definite, neg == 1000), (determinant, tree_det(G)))
+            for kernel, expected in kernels:
                 start = time.perf_counter()
                 assert kernel(M) == expected
                 assert time.perf_counter() - start < 1.0
