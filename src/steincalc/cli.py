@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import knots, mcg, plumbing, reports, seifert, smooth4
-from .exactmat import IntMatrix, determinant, signature
+from .exactmat import IntMatrix, _det_inertia
 from .plumbing import PlumbingGraph, intersection_matrix
 
 
@@ -31,13 +31,13 @@ def _dump(data, out: str | None) -> None:
 def _graph_invariants(G: PlumbingGraph) -> dict:
     M = intersection_matrix(G)
     rank, torsion = plumbing.boundary_homology(G)
-    sig = signature(M)
+    det, pos, neg, _ = _det_inertia(M)  # one pivot pass; an intersection form is symmetric
     return {
         "graph": G.to_dict(),
         "intersection_matrix": M.to_lists(),
-        "determinant": determinant(M),
-        "signature": sig,
-        "negative_definite": sig == -M.nrows,
+        "determinant": det,
+        "signature": pos - neg,
+        "negative_definite": neg == M.nrows,
         "boundary_homology": {"rank": rank, "torsion": list(torsion)},
     }
 

@@ -1,15 +1,20 @@
 """Exact integer linear algebra.
 
 Everything here runs on arbitrary-precision Python integers; no float or
-fraction ever enters.  Two fraction-free Bareiss eliminations do the work:
+fraction ever enters.  An ``IntMatrix`` keeps, beside its dense rows, each
+row's dict of nonzeros, built once at construction; the sparse kernels
+start from copies of those dicts, and ``is_symmetric`` compares them in
+O(nnz), so a plumbing form with 3n - 2 nonzeros is never rescanned densely.
+Two fraction-free Bareiss eliminations do the work:
 
-* ``_pivots``: a sparse symmetric pass (fewest-nonzeros pivot, lazy row
-  scaling) whose pivots are the leading principal minors D_1, D_2, ... of
-  matrices congruent to M by unimodular moves.  It is the one kernel of
-  symmetric forms: ``signature`` counts the pivot signs (Jacobi),
-  ``is_negative_definite`` stops at the first pivot of the wrong sign,
-  and ``determinant`` of a symmetric matrix is the last pivot D_n (0 if
-  a kernel is left);
+* ``_pivots``: a sparse symmetric pass (fewest-nonzeros pivot taken from a
+  heap of (row length, row index), lazy row scaling) whose pivots are the
+  leading principal minors D_1, D_2, ... of matrices congruent to M by
+  unimodular moves.  It is the one kernel of symmetric forms:
+  ``signature`` counts the pivot signs (Jacobi), ``is_negative_definite``
+  stops at the first pivot of the wrong sign, and ``determinant`` of a
+  symmetric matrix is the last pivot D_n (0 if a kernel is left);
+  ``_det_inertia`` reads det and the sign counts off one pass;
 * the dense pass with row swaps in ``determinant``, which serves only
   non-symmetric input: the dense Kronecker substitutions V - B V^T and
   the skew forms V - V^T of ``knots``.
@@ -25,6 +30,7 @@ eigenvalues; zero eigenvalues contribute nothing.
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from math import gcd
 
 
@@ -36,18 +42,31 @@ def _as_int(x, what: str) -> int:
 
 
 class IntMatrix:
-    """Immutable integer matrix stored row-major."""
+    """Immutable integer matrix stored row-major.
 
-    __slots__ = ("_rows", "nrows", "ncols")
+    Besides the dense rows, each row's dict of its nonzeros {column: value}
+    is built once, in the loop that type-checks the entries.  The sparse
+    kernels start from copies of these dicts and never mutate them, so a
+    form with few nonzeros is never rescanned densely.  Symmetry is decided
+    on first read of ``is_symmetric``, in O(nnz), and kept.
+    """
+
+    __slots__ = ("_rows", "_nonzeros", "_symmetric", "nrows", "ncols")
 
     def __init__(self, rows):
         try:
             rows = tuple(tuple(r) for r in rows)
         except TypeError:
             raise ValueError("a matrix is a list of rows") from None
+        nonzeros = []
         for r in rows:
-            for x in r:
-                _as_int(x, "matrix entry")
+            nz = {}
+            for j, x in enumerate(r):
+                if type(x) is not int:  # _as_int raises; the guard saves a call per entry
+                    _as_int(x, "matrix entry")
+                if x:
+                    nz[j] = x
+            nonzeros.append(nz)
         if rows:
             width = len(rows[0])
             if any(len(r) != width for r in rows):
@@ -55,6 +74,8 @@ class IntMatrix:
         else:
             width = 0
         self._rows = rows
+        self._nonzeros = tuple(nonzeros)
+        self._symmetric = None
         self.nrows = len(rows)
         self.ncols = width
 
@@ -88,13 +109,12 @@ class IntMatrix:
 
     @property
     def is_symmetric(self) -> bool:
-        if not self.is_square:
-            return False
-        return all(
-            self._rows[i][j] == self._rows[j][i]
-            for i in range(self.nrows)
-            for j in range(i + 1, self.ncols)
-        )
+        if self._symmetric is None:
+            nz = self._nonzeros
+            self._symmetric = self.is_square and all(
+                nz[j].get(i) == v for i, r in enumerate(nz) for j, v in r.items()
+            )
+        return self._symmetric
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix(zip(*self._rows)) if self._rows else IntMatrix([])
@@ -129,7 +149,7 @@ def smith_diagonal(M: IntMatrix) -> tuple:
     pivot is chosen again; a pivot alone in its row and column is recorded.
     A pairwise (gcd, lcm) pass turns the recorded diagonal into Smith form.
     """
-    rows = {i: {j: v for j, v in enumerate(r) if v} for i, r in enumerate(M._rows)}
+    rows = {i: dict(r) for i, r in enumerate(M._nonzeros)}
     cols = {j: set() for j in range(M.ncols)}
     for i, r in rows.items():
         for j in r:
@@ -198,10 +218,7 @@ def determinant(M: IntMatrix) -> int:
         raise ValueError("determinant requires a square matrix")
     n = M.nrows
     if M.is_symmetric:
-        k, d = 0, 1
-        for k, d in enumerate(_pivots(M), 1):
-            pass
-        return d if k == n else 0
+        return _det_inertia(M)[0]
     A = M.to_lists()
     sign = 1
     prev = 1
@@ -221,17 +238,23 @@ def determinant(M: IntMatrix) -> int:
 
 
 def _require_symmetric(M: IntMatrix, op: str) -> None:
-    if not M.is_square or not M.is_symmetric:
+    if not M.is_symmetric:
         raise ValueError(f"{op} requires a symmetric matrix")
 
 
 def _pivots(M: IntMatrix):
     """Yield the pivots D_1, D_2, ... of a symmetric matrix, by sparse symmetric Bareiss.
 
-    Rows are dicts of their nonzero entries.  Each step pivots on a live row
-    with a nonzero diagonal and the fewest nonzeros (on a forest, a leaf: no
-    fill-in); on an all-zero live diagonal the congruence row_p += row_q,
-    col_p += col_q first makes the pivot 2 A[p][q].  Symmetric swaps and
+    Rows are copies of the matrix's stored dicts of nonzeros.  Each step
+    pivots on the live row with a nonzero diagonal and the fewest nonzeros,
+    least index first (on a forest, a leaf: no fill-in).  That row comes off
+    a heap of (row length, row index): a neighbour update pushes the row it
+    changes, and an entry whose row is gone, whose diagonal is zero or whose
+    length has changed since is dropped when popped, so the pivot is the
+    least (len, i) among the live rows, exactly as a scan would pick.  When
+    the heap runs dry the live diagonal is all zero, and the congruence
+    row_p += row_q, col_p += col_q first makes the pivot 2 A[p][q]; it
+    changes no other diagonal, so it pushes nothing.  Symmetric swaps and
     that congruence are unimodular, and entries are bordered minors of the
     congruent matrices, so divisions are exact, pivot k is the leading
     minor D_k, and D_n = det M when every row pivots.  Only the pivot's
@@ -239,9 +262,11 @@ def _pivots(M: IntMatrix):
     at pivot D_s is scaled by D_k / D_s when next read.  What never pivots
     is the kernel.
     """
-    R = {i: {j: v for j, v in enumerate(r) if v} for i, r in enumerate(M._rows)}
+    R = {i: dict(r) for i, r in enumerate(M._nonzeros)}
     at = [1] * M.nrows  # row i holds minors as of the step whose pivot was at[i]
     prev = 1
+    heap = [(len(r), i) for i, r in R.items() if i in r]
+    heapify(heap)
 
     def current(i):
         if at[i] != prev:
@@ -250,9 +275,11 @@ def _pivots(M: IntMatrix):
         return R[i]
 
     while R:
-        piv = min(((len(r), i) for i, r in R.items() if i in r), default=None)
-        if piv is not None:
-            p = piv[1]
+        while heap:
+            length, p = heappop(heap)
+            r = R.get(p)
+            if r is not None and p in r and len(r) == length:
+                break
         else:
             p = next((i for i, r in R.items() if r), None)
             if p is None:
@@ -285,15 +312,17 @@ def _pivots(M: IntMatrix):
                 else:
                     ri.pop(j, None)
             at[i] = a
+            if i in ri:
+                heappush(heap, (len(ri), i))
         prev = a
 
 
-def _inertia(M: IntMatrix) -> tuple:
-    """(n_plus, n_minus, n_zero) of a symmetric matrix.
+def _det_inertia(M: IntMatrix) -> tuple:
+    """(det, n_plus, n_minus, n_zero) of a symmetric matrix, from one pass of ``_pivots``.
 
-    Counts the pivots of ``_pivots`` by Jacobi's rule: D_k / D_{k-1} > 0
-    is a positive eigenvalue, < 0 a negative one; rows that never pivot
-    are the kernel.
+    Jacobi's rule counts the pivots: D_k / D_{k-1} > 0 is a positive
+    eigenvalue, < 0 a negative one; rows that never pivot are the kernel.
+    det M is the last pivot D_n when every row pivots, and 0 otherwise.
     """
     pos = neg = 0
     prev = 1
@@ -303,7 +332,13 @@ def _inertia(M: IntMatrix) -> tuple:
         else:
             neg += 1
         prev = a
-    return pos, neg, M.nrows - pos - neg
+    zero = M.nrows - pos - neg
+    return (0 if zero else prev), pos, neg, zero
+
+
+def _inertia(M: IntMatrix) -> tuple:
+    """(n_plus, n_minus, n_zero) of a symmetric matrix; see ``_det_inertia``."""
+    return _det_inertia(M)[1:]
 
 
 def signature(M: IntMatrix) -> int:

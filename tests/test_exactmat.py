@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import time
 
 import pytest
@@ -362,11 +363,101 @@ class TestTreeInertia:
             assert tree_inertia(definite) == (0, n, 0)
 
 
+class TestPivotHeap:
+    # rows pushed with one length and later changed must never be chosen by
+    # the stale entry; the pivots are those of a scan for the least (len, i),
+    # recorded from the scan chooser the heap replaced
+    STALE = {
+        # zero diagonal: the first pivot comes from the congruence, and the
+        # second congruence changes the lengths of rows already pushed
+        "zero_diagonal": (
+            [[0, 0, -1, 1, 2], [0, 0, 1, -1, 0], [-1, 1, 0, 0, 1], [1, -1, 0, 0, -1], [2, 0, 1, -1, 0]],
+            [-2, -1, 4, 4],
+        ),
+        # a neighbour update cancels entries, so a row is popped at its old length
+        "cancellation": (
+            [[-1, 1, 1, 0, 1, 0], [1, 2, 1, 1, 0, -1], [1, 1, 1, 1, 0, 2], [0, 1, 1, 0, 1, 0], [1, 0, 0, 1, 1, 1], [0, -1, 2, 0, 1, 1]],
+            [-1, -1, -2, 1, -8, -17],
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(STALE))
+    def test_stale_entries_against_oracles(self, monkeypatch, name):
+        rows, scan_pivots = self.STALE[name]
+        popped = []
+        heappop = exactmat.heappop
+
+        def counted(heap):
+            popped.append(heappop(heap))
+            return popped[-1]
+
+        monkeypatch.setattr(exactmat, "heappop", counted)
+        M = IntMatrix(rows)
+        pivots = list(exactmat._pivots(M))
+        assert len(popped) > len(pivots)  # some popped entries were stale and dropped
+        assert pivots == scan_pivots
+        assert determinant(M) == cofactor_det(rows)
+        assert signature(M) == charpoly_signature(rows)
+        assert _inertia(M)[2] == len(rows) - len(pivots)
+
+
 class TestIntMatrix:
     @pytest.mark.parametrize("entry", [-1.7, 2.0, True, False, None, "3", 1 + 0j])
     def test_non_integer_entry_rejected(self, entry):
         with pytest.raises(ValueError, match="not an integer"):
             IntMatrix([[entry, 1], [0, -1]])
+
+    @pytest.mark.parametrize("entry", [True, 1.0, None, "1"])
+    @pytest.mark.parametrize("at", [(0, 0), (1, 1), (2, 2)], ids=["first", "middle", "last"])
+    def test_non_integer_entry_rejected_anywhere(self, entry, at):
+        rows = [[1, 0, -2], [0, 3, 0], [-2, 0, 5]]
+        rows[at[0]][at[1]] = entry
+        with pytest.raises(ValueError, match=re.escape(f"matrix entry {entry!r} is not an integer")):
+            IntMatrix(rows)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_property_is_symmetric_is_transpose_equality(self, data):
+        # square draws are symmetrized half the time; 0x0, 0xn and nx0 included
+        m = data.draw(st.integers(0, 5))
+        n = m if data.draw(st.booleans()) else data.draw(st.integers(0, 5))
+        rows = [[data.draw(st.sampled_from((0, 0, 1, -1, 3))) for _ in range(n)] for _ in range(m)]
+        if m == n and data.draw(st.booleans()):
+            rows = [[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+        M = IntMatrix(rows)
+        assert M.is_symmetric == (M == M.transpose())
+        assert M.is_symmetric == (M == M.transpose())  # decided once, read again
+
+    @pytest.mark.parametrize(
+        "M, symmetric",
+        [
+            (IntMatrix([]), True),
+            (IntMatrix.zeros(0, 3), True),  # no rows, so it is stored as 0x0
+            (IntMatrix.zeros(3, 0), False),
+            (IntMatrix([[0, 0, 0]]), False),
+            (IntMatrix([[1, 2, 3], [2, 5, 6]]), False),
+            (IntMatrix([[2, 1], [1, 2]]), True),
+            (IntMatrix([[2, 1], [0, 2]]), False),
+        ],
+    )
+    def test_is_symmetric_edge_shapes(self, M, symmetric):
+        assert M.is_symmetric == (M == M.transpose()) == symmetric
+
+    def test_stored_nonzeros_match_dense_rows(self):
+        rng = random.Random(404)
+        for _ in range(100):
+            M = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6), bound=rng.choice((1, 3)))
+            assert [dict(r) for r in M._nonzeros] == [{j: v for j, v in enumerate(r) if v} for r in M.to_lists()]
+        for M in (IntMatrix([]), IntMatrix([[], []]), IntMatrix.zeros(2, 3), intersection_matrix(resolution_tree(rng, 30))):
+            assert [dict(r) for r in M._nonzeros] == [{j: v for j, v in enumerate(r) if v} for r in M.to_lists()]
+
+    def test_kernels_leave_stored_nonzeros_alone(self):
+        rows = [[0, 1, 0, 3], [1, 0, 0, 0], [0, 0, 0, -1], [3, 0, -1, 0]]
+        M = IntMatrix(rows)
+        before = [dict(r) for r in M._nonzeros]
+        determinant(M), signature(M), is_negative_definite(M), smith_diagonal(M)
+        assert [dict(r) for r in M._nonzeros] == before
+        assert M.to_lists() == rows
 
     def test_ragged_rejected(self):
         with pytest.raises(ValueError):
