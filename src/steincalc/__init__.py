@@ -39,7 +39,6 @@ from .plumbing import (
     boundary_homology,
     grauert_check,
     intersection_matrix,
-    reverse_orientation,
     star_graph_left,
     star_graph_right,
 )
@@ -47,7 +46,6 @@ from .seifert import (
     OpenBookDesc,
     SeifertData,
     canonical_contact_flag,
-    euler_number,
     is_singularity_link,
     openbook_homology,
     openbook_manifold,

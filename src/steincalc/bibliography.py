@@ -43,26 +43,10 @@ CITATIONS = {
         "the monodromy of a hyperelliptic Lefschetz fibration on the projective plane "
         "blown up 4g+5 times."
     ),
-    "fiber-class-formula": (
-        "The fiber class of that fibration is (g+2)h - g e_1 - e_2 - ... - e_{4g+5} "
-        "in the blown-up plane (cited computation)."
-    ),
-    "sections-4g-plus-4": (
-        "Tanaka: the hyperelliptic genus-g fibration admits at least 4g+4 disjoint "
-        "(-1)-sphere sections; the exceptional spheres e_2..e_{4g+5} serve."
-    ),
-    "horizontal-sphere": (
-        "The square-zero sphere h - e_1 meets every fiber twice; summing two copies "
-        "under fiber sum yields a square-zero torus meeting fibers twice and missing "
-        "the sewn sections."
-    ),
     "matsumoto-korkmaz-fibration": (
         "Matsumoto (g = 2), Korkmaz (odd g = 2m+1): the word (b0 b1 ... bg a^2 b^2)^2 "
         "is the monodromy of a genus-g Lefschetz fibration on (genus-m surface) x S^2 "
         "blown up 8 times, with 2g+10 singular fibers."
-    ),
-    "two-disjoint-sections": (
-        "That fibration admits at least two disjoint (-1)-sphere sections (cited)."
     ),
     "twisted-sum-pi1": (
         "Twisted fiber sum of two copies along the fiber, gluing by the n-th power of "
@@ -87,11 +71,6 @@ CITATIONS = {
         "Nonvanishing of the relevant Seiberg-Witten invariant is assumed, not "
         "computed; all distinctness verdicts are conditional on it."
     ),
-    "fibered-surgery-fibration": (
-        "Surgery by a genus-k fibered knot on a torus meeting every fiber twice "
-        "turns a genus-g fibration into a genus g+2k fibration; sections disjoint "
-        "from the torus survive."
-    ),
     "simply-connected-fillings": (
         "Seifert-Van Kampen, using spheres e_last - e_i and the retained section: "
         "the filling cut out of the sewn-chain pipeline is simply connected (cited "
@@ -113,11 +92,6 @@ CITATIONS = {
         "unsurgered one (cited cusp-neighborhood argument), and the homeomorphism "
         "descends to the fillings."
     ),
-    "kanenobu-family": (
-        "Kanenobu: for each k >= 2 there are infinitely many genus-k fibered knots "
-        "with pairwise distinct Alexander polynomials.  This package bundles only "
-        "finite demo families; supply a vetted family file for more."
-    ),
     "fibered-cited": (
         "Fiberedness of family members is cited, not decided; the certificate checks "
         "the necessary monic and full-span conditions only."
@@ -130,10 +104,6 @@ CITATIONS = {
     "det-zero-from-boundary": (
         "A filling whose boundary has infinite first homology has intersection form "
         "of determinant zero (rank argument on the long exact sequence)."
-    ),
-    "homological-certificate": (
-        "Relations are verified on first homology only: word_action == identity is "
-        "necessary, not sufficient, for a mapping class relation."
     ),
 }
 

@@ -1,10 +1,11 @@
 """Exact integer linear algebra.
 
 Everything here runs on arbitrary-precision Python integers; no float or
-fraction ever enters.  An ``IntMatrix`` keeps, beside its dense rows, each
-row's dict of nonzeros, built once at construction; the sparse kernels
+fraction ever enters.  An ``IntMatrix`` stores only each row's dict of
+nonzeros; dense rows are made when read (``to_lists``).  The sparse kernels
 start from copies of those dicts, and ``is_symmetric`` compares them in
-O(nnz), so a plumbing form with 3n - 2 nonzeros is never rescanned densely.
+O(nnz), so a plumbing form with 3n - 2 nonzeros is built and read in
+O(n), never densely.
 Two fraction-free Bareiss eliminations do the work:
 
 * ``_pivots``: a sparse symmetric pass (fewest-nonzeros pivot taken from a
@@ -42,16 +43,19 @@ def _as_int(x, what: str) -> int:
 
 
 class IntMatrix:
-    """Immutable integer matrix stored row-major.
+    """Immutable integer matrix, stored as each row's dict of nonzeros {column: value}.
 
-    Besides the dense rows, each row's dict of its nonzeros {column: value}
-    is built once, in the loop that type-checks the entries.  The sparse
-    kernels start from copies of these dicts and never mutate them, so a
-    form with few nonzeros is never rescanned densely.  Symmetry is decided
-    on first read of ``is_symmetric``, in O(nnz), and kept.
+    The dicts are the only storage.  ``__init__`` builds them in the loop
+    that type-checks the entries, in ascending column order; the builders
+    ``identity``, ``transpose`` and ``plumbing.intersection_matrix`` hand
+    checked rows straight to ``_from_nonzeros``.  The sparse kernels start
+    from copies of these dicts and never mutate them.  Dense rows are made
+    only when read (``to_lists``); ``M[i, j]`` is a dict lookup.  A matrix
+    with no rows is 0x0.  Symmetry is decided on first read of
+    ``is_symmetric``, in O(nnz), and kept.
     """
 
-    __slots__ = ("_rows", "_nonzeros", "_symmetric", "nrows", "ncols")
+    __slots__ = ("_nonzeros", "_symmetric", "nrows", "ncols")
 
     def __init__(self, rows):
         try:
@@ -73,35 +77,40 @@ class IntMatrix:
                 raise ValueError("ragged rows")
         else:
             width = 0
-        self._rows = rows
         self._nonzeros = tuple(nonzeros)
         self._symmetric = None
         self.nrows = len(rows)
         self.ncols = width
 
     @classmethod
+    def _from_nonzeros(cls, rows, ncols: int) -> "IntMatrix":
+        """A matrix from rows of nonzero ints {column: value}, keys ascending and below ncols.
+
+        Nothing is checked: the caller builds the rows from checked ints.
+        """
+        M = cls.__new__(cls)
+        M._nonzeros = tuple(rows)
+        M._symmetric = None
+        M.nrows = len(M._nonzeros)
+        M.ncols = ncols if M._nonzeros else 0
+        return M
+
+    @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, nrows: int, ncols: int) -> "IntMatrix":
-        return cls([[0] * ncols for _ in range(nrows)])
-
-    @classmethod
-    def diagonal(cls, entries) -> "IntMatrix":
-        entries = list(entries)
-        n = len(entries)
-        return cls([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls._from_nonzeros([{i: 1} for i in range(n)], n)
 
     def __getitem__(self, key) -> int:
         i, j = key
-        return self._rows[i][j]
-
-    def row(self, i: int):
-        return self._rows[i]
+        return self._nonzeros[i].get(range(self.ncols)[j], 0)
 
     def to_lists(self):
-        return [list(r) for r in self._rows]
+        rows = []
+        for r in self._nonzeros:
+            row = [0] * self.ncols
+            for j, v in r.items():
+                row[j] = v
+            rows.append(row)
+        return rows
 
     @property
     def is_square(self) -> bool:
@@ -117,24 +126,20 @@ class IntMatrix:
         return self._symmetric
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(zip(*self._rows)) if self._rows else IntMatrix([])
-
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.ncols != other.nrows:
-            raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} @ {other.nrows}x{other.ncols}")
-        bt = list(zip(*other._rows)) if other._rows else []
-        return IntMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in bt] for row in self._rows]
-        )
+        cols = [{} for _ in range(self.ncols)]
+        for i, r in enumerate(self._nonzeros):
+            for j, v in r.items():
+                cols[j][i] = v
+        return IntMatrix._from_nonzeros(cols, self.nrows)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, IntMatrix) and self._rows == other._rows
+        return isinstance(other, IntMatrix) and (self.ncols, self._nonzeros) == (other.ncols, other._nonzeros)
 
     def __hash__(self):
-        return hash(self._rows)
+        return hash((self.ncols, tuple(frozenset(r.items()) for r in self._nonzeros)))
 
     def __repr__(self):
-        return f"IntMatrix({[list(r) for r in self._rows]})"
+        return f"IntMatrix({self.nrows}x{self.ncols}, nonzeros={list(self._nonzeros)})"
 
 
 def smith_diagonal(M: IntMatrix) -> tuple:
@@ -336,15 +341,10 @@ def _det_inertia(M: IntMatrix) -> tuple:
     return (0 if zero else prev), pos, neg, zero
 
 
-def _inertia(M: IntMatrix) -> tuple:
-    """(n_plus, n_minus, n_zero) of a symmetric matrix; see ``_det_inertia``."""
-    return _det_inertia(M)[1:]
-
-
 def signature(M: IntMatrix) -> int:
     """Number of positive minus number of negative eigenvalues."""
     _require_symmetric(M, "signature")
-    pos, neg, _ = _inertia(M)
+    pos, neg, _ = _det_inertia(M)[1:]
     return pos - neg
 
 

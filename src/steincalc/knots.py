@@ -188,12 +188,8 @@ class SeifertMatrixK:
         if V.nrows % 2 != 0:
             raise ValueError("Seifert matrix must have even size")
         if V.nrows > 0:
-            skew = IntMatrix(
-                [
-                    [V[i, j] - V[j, i] for j in range(V.ncols)]
-                    for i in range(V.nrows)
-                ]
-            )
+            rows = V.to_lists()
+            skew = IntMatrix([[a - b for a, b in zip(r, c)] for r, c in zip(rows, zip(*rows))])
             if determinant(skew) != 1:
                 raise ValueError(f"{self.name}: det(V - V^T) != 1, not a knot Seifert pairing")
 
@@ -238,16 +234,15 @@ def alexander(V: SeifertMatrixK) -> LaurentPoly:
     H = prod_i (|row i of V| + |col i of V|), and by Cauchy's estimate so
     is every coefficient; B = 2H + 1 makes the digits exact.
     """
-    M = V.matrix
-    Mt = M.transpose()
-    n = M.nrows
+    rows = V.matrix.to_lists()
+    cols = list(zip(*rows))
     H = 1
-    for i in range(n):
-        H *= _ceil_norm(M.row(i)) + _ceil_norm(Mt.row(i))
+    for r, c in zip(rows, cols):
+        H *= _ceil_norm(r) + _ceil_norm(c)
     B = 2 * H + 1
-    x = determinant(IntMatrix([[a - B * b for a, b in zip(M.row(i), Mt.row(i))] for i in range(n)]))
+    x = determinant(IntMatrix([[a - B * b for a, b in zip(r, c)] for r, c in zip(rows, cols)]))
     coeffs = {}
-    for e in range(n + 1):
+    for e in range(len(rows) + 1):
         d = x % B
         if d > H:
             d -= B
@@ -280,12 +275,9 @@ def fibered_certificate(delta: LaurentPoly, genus: int) -> FiberednessCheck:
 
 def connected_sum(V1: SeifertMatrixK, V2: SeifertMatrixK) -> SeifertMatrixK:
     """Block-diagonal sum; genus adds, Alexander polynomials multiply."""
-    n1, n2 = V1.matrix.nrows, V2.matrix.nrows
-    rows = []
-    for i in range(n1):
-        rows.append(list(V1.matrix.row(i)) + [0] * n2)
-    for i in range(n2):
-        rows.append([0] * n1 + list(V2.matrix.row(i)))
+    rows1, rows2 = V1.matrix.to_lists(), V2.matrix.to_lists()
+    n1, n2 = len(rows1), len(rows2)
+    rows = [r + [0] * n2 for r in rows1] + [[0] * n1 + r for r in rows2]
     return SeifertMatrixK(name=f"{V1.name} # {V2.name}", matrix=IntMatrix(rows))
 
 

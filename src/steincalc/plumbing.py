@@ -35,7 +35,7 @@ class PlumbingGraph:
     intersection matrix.  Instances are immutable; moves return new graphs.
     """
 
-    __slots__ = ("_order", "_verts", "_edges", "_edge_set")
+    __slots__ = ("_order", "_verts", "_edges", "_edge_set", "_adj")
 
     def __init__(self, vertices, edges):
         order = []
@@ -52,6 +52,7 @@ class PlumbingGraph:
             verts[vid] = (weight, genus)
         edge_list = []
         edge_set = set()
+        adj = {v: [] for v in order}  # filled in edge order, so neighbors keep it
         for a, b in edges:
             a, b = _as_int(a, "edge endpoint"), _as_int(b, "edge endpoint")
             if a == b:
@@ -63,10 +64,13 @@ class PlumbingGraph:
                 raise ValueError(f"multi-edge ({a},{b})")
             edge_set.add(key)
             edge_list.append((a, b))
+            adj[a].append(b)
+            adj[b].append(a)
         self._order = tuple(order)
         self._verts = verts
         self._edges = tuple(edge_list)
         self._edge_set = frozenset(edge_set)
+        self._adj = {v: tuple(us) for v, us in adj.items()}
         self._check_tree()
 
     def _check_tree(self):
@@ -77,13 +81,9 @@ class PlumbingGraph:
             raise ValueError("not a tree: edge count != vertex count - 1")
         seen = {self._order[0]}
         frontier = [self._order[0]]
-        adj = {v: [] for v in self._order}
-        for a, b in self._edges:
-            adj[a].append(b)
-            adj[b].append(a)
         while frontier:
             v = frontier.pop()
-            for u in adj[v]:
+            for u in self._adj[v]:
                 if u not in seen:
                     seen.add(u)
                     frontier.append(u)
@@ -110,16 +110,11 @@ class PlumbingGraph:
         return frozenset((a, b)) in self._edge_set
 
     def degree(self, v: int) -> int:
-        return sum(1 for e in self._edge_set if v in e)
+        return len(self._adj.get(v, ()))
 
     def neighbors(self, v: int) -> tuple:
-        out = []
-        for a, b in self._edges:
-            if a == v:
-                out.append(b)
-            elif b == v:
-                out.append(a)
-        return tuple(out)
+        """Neighbours of v in the order of the edge list."""
+        return self._adj.get(v, ())
 
     def total_genus(self) -> int:
         return sum(g for (_, g) in self._verts.values())
@@ -215,22 +210,20 @@ def star_graph_right(h: int, ps) -> PlumbingGraph:
 
 
 def intersection_matrix(G: PlumbingGraph) -> IntMatrix:
-    """Symmetric matrix: weights on the diagonal, 1 for each edge."""
-    ids = G.vertex_ids
-    idx = {v: i for i, v in enumerate(ids)}
-    n = len(ids)
-    M = [[0] * n for _ in range(n)]
-    for v in ids:
-        M[idx[v]][idx[v]] = G.weight(v)
-    for a, b in G.edges:
-        M[idx[a]][idx[b]] = 1
-        M[idx[b]][idx[a]] = 1
-    return IntMatrix(M)
+    """Symmetric matrix: weights on the diagonal, 1 for each edge.
 
-
-def reverse_orientation(G: PlumbingGraph) -> PlumbingGraph:
-    """Negate all weights; genera and edges are untouched."""
-    return PlumbingGraph([(v, -w, g) for v, w, g in G.vertices()], G.edges)
+    Built in O(n) from the graph's nonzeros, column by column, so every
+    row's dict lists its columns in ascending order, the order in which
+    the kernels' pivot tie-breaks read them.
+    """
+    idx = {v: i for i, v in enumerate(G.vertex_ids)}
+    rows = [{} for _ in idx]
+    for i, v in enumerate(G.vertex_ids):
+        if G.weight(v):
+            rows[i][i] = G.weight(v)
+        for u in G.neighbors(v):
+            rows[idx[u]][i] = 1
+    return IntMatrix._from_nonzeros(rows, len(idx))
 
 
 def _fresh_id(G: PlumbingGraph) -> int:

@@ -221,6 +221,7 @@ def _load_or_demo_family(family, k):
 
 def report_thm44(g: int, k: int, r: int, family=None) -> Report:
     """Simply-connected filling family of the reduced star link, one member per knot."""
+    g, k, r = _as_int(g, "g"), _as_int(k, "k"), _as_int(r, "r")
     if g < 2 or k < 2:
         raise ValueError("need g >= 2 and k >= 2")
     if not 1 <= r <= 4 * g + 3:
@@ -285,6 +286,7 @@ def report_thm44(g: int, k: int, r: int, family=None) -> Report:
 
 def report_thm53(m: int, n: int, k: int, family=None) -> Report:
     """Fillings with first homology tag Z + Z/n from the twisted double."""
+    m, n, k = _as_int(m, "m"), _as_int(n, "n"), _as_int(k, "k")
     if m < 1:
         raise ValueError("m must be >= 1")
     if n < 1:
@@ -357,6 +359,7 @@ def report_thm53(m: int, n: int, k: int, family=None) -> Report:
 
 def report_corollary55(h: int, n: int = 1, family=None) -> Report:
     """Both filling families for the single-leg link of multiplicity 2 at genus h."""
+    h, n = _as_int(h, "h"), _as_int(n, "n")
     if h < 7:
         raise ValueError("h must be >= 7")
     rpt = Report(

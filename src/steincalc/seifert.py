@@ -172,10 +172,6 @@ def star_to_seifert(G: PlumbingGraph, center: int | None = None) -> SeifertData:
     return SeifertData(base_genus=G.genus(center), e0=G.weight(center), legs=tuple(legs))
 
 
-def euler_number(S: SeifertData) -> Fraction:
-    return S.euler_number
-
-
 def is_singularity_link(S: SeifertData) -> bool:
     """Neumann's criterion for an orientable-base Seifert fibration: e < 0."""
     return S.euler_number < 0

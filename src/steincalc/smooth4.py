@@ -23,6 +23,7 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 from . import bibliography
+from .exactmat import _as_int
 from .exactmat import signature as matrix_signature
 from .knots import LaurentPoly, SeifertMatrixK, alexander, substitute_t_squared
 from .plumbing import PlumbingGraph, intersection_matrix
@@ -116,7 +117,7 @@ def make_X_g1(g: int) -> ManifoldRecord:
     One +1 class and 4g+5 exceptional classes: chi = 4g+8 and
     signature 1 - (4g+5) = -4g-4, with 4g+4 disjoint (-1)-sphere sections.
     """
-    if g < 1:
+    if _as_int(g, "g") < 1:
         raise ValueError("g must be >= 1")
     return ManifoldRecord(
         name=f"X({g},1)",
@@ -132,7 +133,7 @@ def make_X_g1(g: int) -> ManifoldRecord:
 
 def make_W(m: int) -> ManifoldRecord:
     """(genus-m surface) x S^2 blown up 8 times, fibered in genus 2m+1."""
-    if m < 1:
+    if _as_int(m, "m") < 1:
         raise ValueError("m must be >= 1")
     return ManifoldRecord(
         name=f"W({m})",
@@ -177,7 +178,7 @@ def fiber_sum(M1: ManifoldRecord, M2: ManifoldRecord, twist: int | None = None) 
         raise ValueError("both summands need a fiber genus")
     if M1.fiber_genus != M2.fiber_genus:
         raise ValueError(f"fiber genus mismatch: {M1.fiber_genus} != {M2.fiber_genus}")
-    if twist is not None and twist < 1:
+    if twist is not None and _as_int(twist, "twist power") < 1:
         raise ValueError("twist power must be a positive integer")
     g = M1.fiber_genus
 
@@ -280,7 +281,7 @@ def excise_filling(M: ManifoldRecord, r: int) -> FillingRecord:
     """
     if M.fiber_genus is None:
         raise ValueError("excision needs a fibration: fiber genus missing")
-    if r < 0:
+    if _as_int(r, "r") < 0:
         raise ValueError("r must be >= 0")
     squares = {sq for sq, _ in M.sections}
     if len(squares) > 1:

@@ -5,16 +5,60 @@ expansion instead of Bareiss, characteristic-polynomial root counting and
 leaf pruning on trees (inertia and determinant) instead of symmetric
 elimination, Laplace expansion instead of Kronecker substitution for
 polynomial determinants, dense transvection products instead of sparse
-column updates for twist words.
+column updates for twist words, a dense n x n build instead of the sparse
+one for intersection matrices.  The dense matrix builders and products
+that the library does not need live here too.
 """
 
 import random
 from fractions import Fraction
+from functools import reduce
 
 from steincalc.exactmat import IntMatrix
 from steincalc.knots import LaurentPoly, SeifertMatrixK
 from steincalc.mcg import SurfaceSpec, TwistWord
 from steincalc.plumbing import PlumbingGraph
+
+
+def zeros(nrows: int, ncols: int) -> IntMatrix:
+    return IntMatrix([[0] * ncols for _ in range(nrows)])
+
+
+def diagonal(entries) -> IntMatrix:
+    entries = list(entries)
+    n = len(entries)
+    return IntMatrix([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)])
+
+
+def matmul(*factors) -> IntMatrix:
+    """Dense product of the factors, left to right."""
+
+    def product(A, B):
+        if A.ncols != B.nrows:
+            raise ValueError(f"shape mismatch {A.nrows}x{A.ncols} @ {B.nrows}x{B.ncols}")
+        cols = list(zip(*B.to_lists()))
+        return IntMatrix([[sum(a * b for a, b in zip(row, col)) for col in cols] for row in A.to_lists()])
+
+    return reduce(product, factors)
+
+
+def dense_intersection_matrix(G: PlumbingGraph) -> list:
+    """The n x n list of lists: weights on the diagonal, 1 for each edge."""
+    ids = G.vertex_ids
+    idx = {v: i for i, v in enumerate(ids)}
+    n = len(ids)
+    M = [[0] * n for _ in range(n)]
+    for v in ids:
+        M[idx[v]][idx[v]] = G.weight(v)
+    for a, b in G.edges:
+        M[idx[a]][idx[b]] = 1
+        M[idx[b]][idx[a]] = 1
+    return M
+
+
+def reverse_orientation(G: PlumbingGraph) -> PlumbingGraph:
+    """Negate all weights; genera and edges are untouched."""
+    return PlumbingGraph([(v, -w, g) for v, w, g in G.vertices()], G.edges)
 
 
 def cofactor_det(rows) -> int:
@@ -166,7 +210,7 @@ def dense_word_action(w: TwistWord) -> IntMatrix:
         c = w.curves[name].homology_class
         ctj = [sum(c[k] * J[k, j] for k in range(n)) for j in range(n)]
         T = IntMatrix([[(1 if i == j else 0) + p * c[i] * ctj[j] for j in range(n)] for i in range(n)])
-        M = T @ M
+        M = matmul(T, M)
     return M
 
 

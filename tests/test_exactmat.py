@@ -9,12 +9,15 @@ from hypothesis import strategies as st
 from oracles import (
     charpoly_signature,
     cofactor_det,
+    diagonal,
+    matmul,
     random_matrix,
     random_symmetric,
     random_tree,
     resolution_tree,
     tree_det,
     tree_inertia,
+    zeros,
 )
 from sympy import Matrix
 from sympy.matrices.normalforms import invariant_factors
@@ -23,7 +26,7 @@ from sympy.polys.domains import ZZ
 from steincalc import exactmat
 from steincalc.exactmat import (
     IntMatrix,
-    _inertia,
+    _det_inertia,
     determinant,
     is_negative_definite,
     signature,
@@ -49,13 +52,13 @@ def check_snf(M):
 
 class TestSmithNormalForm:
     def test_coprime_diagonal(self):
-        assert smith_diagonal(IntMatrix.diagonal([2, 3])) == (1, 6)
+        assert smith_diagonal(diagonal([2, 3])) == (1, 6)
 
     def test_diagonal_needs_gcd_lcm_pass(self):
-        assert check_snf(IntMatrix.diagonal([4, 6, 1, 0, 10])) == (1, 2, 2, 60, 0)
+        assert check_snf(diagonal([4, 6, 1, 0, 10])) == (1, 2, 2, 60, 0)
 
     def test_zero_matrix(self):
-        assert smith_diagonal(IntMatrix.zeros(2, 2)) == (0, 0)
+        assert smith_diagonal(zeros(2, 2)) == (0, 0)
 
     def test_hyperbolic_block(self):
         # hand row-reduction: [[0,1],[1,2]] ~ diag(1,1)
@@ -75,7 +78,7 @@ class TestSmithNormalForm:
             m, n, r = rng.randint(2, 7), rng.randint(2, 7), rng.randint(1, 3)
             A = random_matrix(rng, m, r, bound=4)
             B = random_matrix(rng, r, n, bound=4)
-            d = check_snf(A @ B)
+            d = check_snf(matmul(A, B))
             assert sum(1 for x in d if x != 0) <= r
         check_snf(IntMatrix([[1, 2, 3], [1, 2, 3], [2, 4, 6]]))
 
@@ -201,7 +204,7 @@ class TestDeterminant:
 
 class TestSignature:
     def test_diagonal(self):
-        assert signature(IntMatrix.diagonal([-2, -2])) == -2
+        assert signature(diagonal([-2, -2])) == -2
 
     def test_hyperbolic_pair(self):
         # congruence diagonalization: one positive, one negative
@@ -239,17 +242,17 @@ class TestSignature:
         sig = charpoly_signature(rows)
         assert signature(M) == sig
         assert is_negative_definite(M) == (sig == -n)
-        pos, neg, zero = _inertia(M)
+        pos, neg, zero = _det_inertia(M)[1:]
         assert pos - neg == sig
         assert n - zero == sum(1 for d in smith_diagonal(M) if d != 0)
 
     def test_hyperbolic_blocks(self):
         H = [[0, 2, 0, 0], [2, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
-        assert _inertia(IntMatrix(H)) == (1, 1, 2)
+        assert _det_inertia(IntMatrix(H))[1:] == (1, 1, 2)
         # zero diagonal throughout elimination: pairs (0,1) and (2,3) plus a coupling
         Z = [[0, 1, 0, 3], [1, 0, 0, 0], [0, 0, 0, -1], [3, 0, -1, 0]]
         assert signature(IntMatrix(Z)) == charpoly_signature(Z)
-        assert _inertia(IntMatrix(Z)) == (2, 2, 0)
+        assert _det_inertia(IntMatrix(Z))[1:] == (2, 2, 0)
 
     def test_signature_bounded_by_rank(self):
         rng = random.Random(4321)
@@ -268,7 +271,7 @@ class TestNegativeDefinite:
         assert not is_negative_definite(IntMatrix([[0, 1], [1, 2]]))
 
     def test_single_entry(self):
-        assert is_negative_definite(IntMatrix.diagonal([-1]))
+        assert is_negative_definite(diagonal([-1]))
 
     def test_zero_leading_minor_fallback(self):
         assert not is_negative_definite(IntMatrix([[0, 1], [1, 0]]))
@@ -321,18 +324,18 @@ class TestTreeInertia:
         rng = random.Random(11)
         for _ in range(300):
             G = random_tree(rng, rng.randint(1, 10), weight_bound=2)
-            assert _inertia(intersection_matrix(G)) == tree_inertia(G)
+            assert _det_inertia(intersection_matrix(G))[1:] == tree_inertia(G)
 
     def test_large_trees_against_leaf_pruning(self):
         rng = random.Random(1981)
         for n in (200, 240, 500, 1000):
             G = random_tree(rng, n)
-            assert _inertia(intersection_matrix(G)) == tree_inertia(G)
+            assert _det_inertia(intersection_matrix(G))[1:] == tree_inertia(G)
         # resolution trees are definite; zero weights leave an all-zero live
         # diagonal, so the pair congruence runs
         for n in (500, 1000):
             for G in (resolution_tree(rng, n), random_tree(rng, n, weight_bound=2), random_tree(rng, n, weight_bound=0)):
-                assert _inertia(intersection_matrix(G)) == tree_inertia(G)
+                assert _det_inertia(intersection_matrix(G))[1:] == tree_inertia(G)
 
     def test_thousand_vertex_tree_in_under_a_second(self):
         rng = random.Random(1000)
@@ -398,7 +401,7 @@ class TestPivotHeap:
         assert pivots == scan_pivots
         assert determinant(M) == cofactor_det(rows)
         assert signature(M) == charpoly_signature(rows)
-        assert _inertia(M)[2] == len(rows) - len(pivots)
+        assert _det_inertia(M)[3] == len(rows) - len(pivots)
 
 
 class TestIntMatrix:
@@ -432,8 +435,8 @@ class TestIntMatrix:
         "M, symmetric",
         [
             (IntMatrix([]), True),
-            (IntMatrix.zeros(0, 3), True),  # no rows, so it is stored as 0x0
-            (IntMatrix.zeros(3, 0), False),
+            (zeros(0, 3), True),  # no rows, so it is stored as 0x0
+            (zeros(3, 0), False),
             (IntMatrix([[0, 0, 0]]), False),
             (IntMatrix([[1, 2, 3], [2, 5, 6]]), False),
             (IntMatrix([[2, 1], [1, 2]]), True),
@@ -448,7 +451,7 @@ class TestIntMatrix:
         for _ in range(100):
             M = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6), bound=rng.choice((1, 3)))
             assert [dict(r) for r in M._nonzeros] == [{j: v for j, v in enumerate(r) if v} for r in M.to_lists()]
-        for M in (IntMatrix([]), IntMatrix([[], []]), IntMatrix.zeros(2, 3), intersection_matrix(resolution_tree(rng, 30))):
+        for M in (IntMatrix([]), IntMatrix([[], []]), zeros(2, 3), intersection_matrix(resolution_tree(rng, 30))):
             assert [dict(r) for r in M._nonzeros] == [{j: v for j, v in enumerate(r) if v} for r in M.to_lists()]
 
     def test_kernels_leave_stored_nonzeros_alone(self):
@@ -463,9 +466,33 @@ class TestIntMatrix:
         with pytest.raises(ValueError):
             IntMatrix([[1, 2], [3]])
 
-    def test_matmul_shape_check(self):
-        with pytest.raises(ValueError):
-            IntMatrix([[1, 2]]) @ IntMatrix([[1, 2]])
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_property_sparse_storage_against_dense_reference(self, data):
+        # 0x0, nx0 and [[], []] included; a matrix with no rows is 0x0
+        m = data.draw(st.integers(0, 5))
+        n = data.draw(st.integers(0, 5))
+        rows = [[data.draw(st.sampled_from((0, 0, 0, 1, -1, 7, -(2**70)))) for _ in range(n)] for _ in range(m)]
+        M = IntMatrix(rows)
+        assert (M.nrows, M.ncols) == (m, n if m else 0)
+        assert M.to_lists() == rows
+        assert IntMatrix(M.to_lists()) == M
+        for i in range(-m, m):
+            for j in range(-n, n):
+                assert M[i, j] == rows[i][j]
+        for i, j in ((m, 0), (0, n), (-m - 1, 0), (0, -n - 1)):
+            with pytest.raises(IndexError):
+                M[i, j]
+        dense_t = [list(c) for c in zip(*rows)]
+        T = M.transpose()
+        assert T == IntMatrix(dense_t)
+        assert T.to_lists() == dense_t
+        assert T.transpose() == (M if n else IntMatrix([]))
+        other = IntMatrix([[data.draw(st.sampled_from((0, 1, 7))) for _ in range(n)] for _ in range(m)])
+        assert (M == other) == (M.to_lists() == other.to_lists())
+        if M == other:
+            assert hash(M) == hash(other)
+        assert hash(M) == hash(IntMatrix(rows))
 
     def test_transpose_roundtrip(self):
         M = IntMatrix([[1, 2, 3], [4, 5, 6]])

@@ -1,9 +1,9 @@
 import random
 
 import pytest
-from oracles import cofactor_det, random_tree
+from oracles import cofactor_det, dense_intersection_matrix, random_tree, resolution_tree, reverse_orientation
 
-from steincalc.exactmat import determinant, signature
+from steincalc.exactmat import IntMatrix, determinant, signature
 from steincalc.plumbing import (
     Move,
     MoveError,
@@ -17,7 +17,6 @@ from steincalc.plumbing import (
     grauert_check,
     intersection_matrix,
     positive_star_reduction,
-    reverse_orientation,
     star_graph_left,
     star_graph_right,
 )
@@ -126,6 +125,18 @@ class TestIntersectionMatrix:
         G = PlumbingGraph([(0, 7, 0)], [])
         assert intersection_matrix(G).to_lists() == [[7]]
 
+    def test_sparse_build_against_dense_oracle(self):
+        # rows must iterate in ascending column order, as the dense scan
+        # inserted them: the kernels' pivot tie-breaks read that order
+        rng = random.Random(1111)
+        graphs = [resolution_tree(rng, n) for n in (1, 2, 5, 20, 100)]
+        graphs += [random_tree(rng, n, weight_bound=b) for n in (1, 3, 12, 60) for b in (0, 2, 4)]
+        graphs.append(PlumbingGraph([(7, -2, 0), (3, 0, 1), (5, -1, 0), (1, 4, 0)], [(5, 1), (7, 3), (1, 7)]))
+        for G in graphs:
+            M = intersection_matrix(G)
+            assert M == IntMatrix(dense_intersection_matrix(G))
+            assert all(list(r) == sorted(r) for r in M._nonzeros)
+
 
 class TestReverseOrientation:
     def test_z_to_y(self):
@@ -143,6 +154,27 @@ class TestReverseOrientation:
     def test_zero_fixed(self):
         G = PlumbingGraph([(0, 0, 0)], [])
         assert reverse_orientation(G) == G
+
+
+def edge_scan(G, v):
+    """(degree, neighbours) of v by a scan of the edge list."""
+    nbrs = tuple(b if a == v else a for a, b in G.edges if v in (a, b))
+    return len(nbrs), nbrs
+
+
+class TestAdjacency:
+    def test_degree_and_neighbors_against_edge_scan(self):
+        rng = random.Random(2468)
+        for _ in range(40):
+            G = random_tree(rng, rng.randint(1, 15))
+            for _ in range(8):
+                for v in G.vertex_ids:
+                    assert (G.degree(v), G.neighbors(v)) == edge_scan(G, v)
+                G, _ = random_valid_move(rng, G)
+
+    def test_unknown_vertex_has_no_neighbors(self):
+        G = star_graph_right(0, (2, 3))
+        assert (G.degree(99), G.neighbors(99)) == (0, ())
 
 
 class TestMoves:

@@ -1,10 +1,13 @@
+import ast
 import json
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from steincalc.bibliography import CITATIONS
+import steincalc
+from steincalc.bibliography import CITATIONS, DERIVED
 from steincalc.knots import TREFOIL, connected_sum, demo_family
 from steincalc.reports import (
     Report,
@@ -134,6 +137,31 @@ class TestCorollary55:
         assert any("Z + Z/4" in s.title for s in rpt.subreports)
 
 
+NON_INTEGERS = [2.0, 2.5, True, None, "2"]
+
+
+class TestIntegerParameters:
+    @pytest.mark.parametrize("bad", NON_INTEGERS)
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda x: report_thm44(x, 2, 1),
+            lambda x: report_thm44(2, x, 1),
+            lambda x: report_thm44(2, 2, x),
+            lambda x: report_thm53(x, 2, 2),
+            lambda x: report_thm53(1, x, 2),
+            lambda x: report_thm53(1, 2, x),
+            lambda x: report_corollary55(x),
+            lambda x: report_corollary55(9, n=x),
+            lambda x: report_corollary55(8, n=x),
+        ],
+        ids=["thm44-g", "thm44-k", "thm44-r", "thm53-m", "thm53-n", "thm53-k", "cor55-h", "cor55-n", "cor55-n-even-h"],
+    )
+    def test_non_integer_parameter_rejected(self, build, bad):
+        with pytest.raises(ValueError, match="not an integer"):
+            build(bad)
+
+
 class TestReportMechanics:
     def test_json_deterministic(self):
         a = report_thm44(2, 2, 1).to_json()
@@ -154,6 +182,16 @@ class TestReportMechanics:
                     assert c.citation in CITATIONS
                 for a in rpt.assumptions:
                     assert a.citation in CITATIONS
+
+    def test_every_citation_key_is_reached(self):
+        # a key no module names is a citation no pipeline can use
+        pkg = Path(steincalc.__file__).parent
+        literals = set()
+        for path in pkg.glob("*.py"):
+            if path.name != "bibliography.py":
+                tree = ast.parse(path.read_text())
+                literals |= {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+        assert sorted(set(CITATIONS) - {DERIVED} - literals) == []
 
     def test_markdown_contains_verdicts(self):
         md = report_figure1(1, (2,)).to_markdown()

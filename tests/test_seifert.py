@@ -18,7 +18,6 @@ from steincalc.seifert import (
     OpenBookDesc,
     SeifertData,
     canonical_contact_flag,
-    euler_number,
     is_singularity_link,
     negative_continued_fraction,
     openbook_homology,
@@ -88,7 +87,7 @@ class TestStarToSeifert:
 
 class TestEulerNumber:
     def test_single_leg(self):
-        assert euler_number(star_to_seifert(star_graph_right(0, (2,)))) == Fraction(-1, 2)
+        assert star_to_seifert(star_graph_right(0, (2,))).euler_number == Fraction(-1, 2)
 
     def test_reciprocal_sum_identity(self):
         for r in (1, 2, 3):
@@ -97,7 +96,7 @@ class TestEulerNumber:
                 assert sd.euler_number == -sum(Fraction(1, p) for p in ps)
 
     def test_no_legs(self):
-        assert euler_number(SeifertData(1, 0, ())) == 0
+        assert SeifertData(1, 0, ()).euler_number == 0
 
 
 class TestSingularityLink:

@@ -26,6 +26,30 @@ from steincalc.smooth4 import (
 GENUS2 = connected_sum(TREFOIL, TREFOIL)
 
 
+NON_INTEGERS = [2.0, 2.5, True, None, "2"]
+
+
+class TestIntegerParameters:
+    @pytest.mark.parametrize("bad", NON_INTEGERS)
+    @pytest.mark.parametrize(
+        "build",
+        [
+            make_X_g1,
+            make_W,
+            lambda x: excise_filling(fiber_sum(make_X_g1(2), make_X_g1(2)), x),
+        ],
+        ids=["make_X_g1", "make_W", "excise_filling-r"],
+    )
+    def test_non_integer_parameter_rejected(self, build, bad):
+        with pytest.raises(ValueError, match="not an integer"):
+            build(bad)
+
+    @pytest.mark.parametrize("bad", [x for x in NON_INTEGERS if x is not None])  # None: the untwisted sum
+    def test_non_integer_twist_rejected(self, bad):
+        with pytest.raises(ValueError, match="not an integer"):
+            fiber_sum(make_W(1), make_W(1), twist=bad)
+
+
 class TestBaseRecords:
     def test_X_g1_values(self):
         rec = make_X_g1(2)
