@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import knots, mcg, plumbing, reports, seifert, smooth4
-from .exactmat import IntMatrix, _det_inertia
+from .exactmat import IntMatrix, _det_inertia, _parse_int
 from .plumbing import PlumbingGraph, intersection_matrix
 
 
@@ -93,7 +93,9 @@ def _cmd_seifert_open_book(args) -> int:
 
 def _cmd_mcg_action(args) -> int:
     g_str, r_str = args.surface.split(",")
-    surface = mcg.SurfaceSpec(genus=int(g_str), boundary_count=int(r_str))
+    surface = mcg.SurfaceSpec(
+        genus=_parse_int(g_str, "genus"), boundary_count=_parse_int(r_str, "boundary count")
+    )
     text = Path(args.word).read_text()
     if args.curves:
         table = mcg.load_curves(Path(args.curves).read_text(), surface)
@@ -162,7 +164,15 @@ def _cmd_knots_alexander(args) -> int:
 
 
 def _parse_powers(text: str) -> tuple:
-    return tuple(int(p) for p in text.split(","))
+    return tuple(_parse_int(p, "power") for p in text.split(","))
+
+
+def _int_option(text: str) -> int:
+    """argparse type of the integer options: ASCII digits only, where ``int`` takes '1_0' too."""
+    try:
+        return _parse_int(text, "option")
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 def _load_family(path: str | None):
@@ -214,11 +224,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p = seif.add_parser("from-star", help="read Seifert data off a reduced star graph")
     p.add_argument("graph")
-    p.add_argument("--center", type=int, default=None)
+    p.add_argument("--center", type=_int_option, default=None)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_seifert_from_star)
     p = seif.add_parser("open-book", help="boundary-twist open book invariants")
-    p.add_argument("--genus", type=int, required=True)
+    p.add_argument("--genus", type=_int_option, required=True)
     p.add_argument("--powers", required=True, help="comma-separated twist powers")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_seifert_open_book)
@@ -238,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p = lf.add_parser("chi", help="Euler characteristic double count")
     p.add_argument("--catalog", choices=("hyperelliptic", "korkmaz"), required=True)
-    p.add_argument("--param", type=int, required=True, help="genus g, or m for the odd-genus catalog")
+    p.add_argument("--param", type=_int_option, required=True, help="genus g, or m for the odd-genus catalog")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_lf_chi)
 
@@ -254,24 +264,24 @@ def build_parser() -> argparse.ArgumentParser:
         dest="kind", required=True
     )
     p = rep.add_parser("figure1", help="positive vs reduced star equivalence")
-    p.add_argument("--genus", type=int, required=True)
+    p.add_argument("--genus", type=_int_option, required=True)
     p.add_argument("--powers", required=True)
     common = [p]
     q = rep.add_parser("thm44", help="simply-connected filling family")
-    q.add_argument("--g", type=int, required=True)
-    q.add_argument("--k", type=int, required=True)
-    q.add_argument("--r", type=int, required=True)
+    q.add_argument("--g", type=_int_option, required=True)
+    q.add_argument("--k", type=_int_option, required=True)
+    q.add_argument("--r", type=_int_option, required=True)
     q.add_argument("--family", default=None, help="Seifert-matrix family JSON file")
     common.append(q)
     q = rep.add_parser("thm53", help="Z + Z/n filling family")
-    q.add_argument("--m", type=int, required=True)
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--k", type=int, required=True)
+    q.add_argument("--m", type=_int_option, required=True)
+    q.add_argument("--n", type=_int_option, required=True)
+    q.add_argument("--k", type=_int_option, required=True)
     q.add_argument("--family", default=None)
     common.append(q)
     q = rep.add_parser("cor55", help="both families at a given genus")
-    q.add_argument("--h", type=int, required=True)
-    q.add_argument("--n", type=int, default=1)
+    q.add_argument("--h", type=_int_option, required=True)
+    q.add_argument("--n", type=_int_option, default=1)
     q.add_argument("--family", default=None)
     common.append(q)
     for q in common:

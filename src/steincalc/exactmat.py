@@ -16,9 +16,11 @@ Two fraction-free Bareiss eliminations do the work:
   stops at the first pivot of the wrong sign, and ``determinant`` of a
   symmetric matrix is the last pivot D_n (0 if a kernel is left);
   ``_det_inertia`` reads det and the sign counts off one pass;
-* the dense pass with row swaps in ``determinant``, which serves only
-  non-symmetric input: the dense Kronecker substitutions V - B V^T and
-  the skew forms V - V^T of ``knots``.
+* ``_dense_det``, a dense pass with row swaps on a list of int rows.  It
+  serves ``determinant`` of a non-symmetric matrix, and ``knots`` hands
+  it the rows it builds from an already-checked Seifert matrix (the
+  Kronecker substitution V - B V^T and the skew form V - V^T), so those
+  never pass through ``IntMatrix``.
 
 ``smith_diagonal`` gives the Smith normal form diagonal (homology
 cokernels) without the unimodular transforms, by one sparse elimination
@@ -40,6 +42,19 @@ def _as_int(x, what: str) -> int:
     if type(x) is not int:
         raise ValueError(f"{what} {x!r} is not an integer")
     return x
+
+
+def _parse_int(text, what: str) -> int:
+    """The int written in text: optional surrounding whitespace, an optional sign, ASCII digits.
+
+    ``int`` alone would also take '1_0' and non-ASCII digits; those, and
+    anything that is not a string, are errors.
+    """
+    s = text.strip() if type(text) is str else ""
+    digits = s[1:] if s[:1] in ("+", "-") else s
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{what} {text!r} is not an integer")
+    return int(s)
 
 
 class IntMatrix:
@@ -215,16 +230,26 @@ def determinant(M: IntMatrix) -> int:
 
     A symmetric M is read off the sparse pivot pass of ``_pivots``: its
     last pivot D_n is det M, and a pass that pivots fewer than n rows
-    leaves a kernel, so det M = 0.  Non-symmetric input (``knots`` passes
-    V - B V^T and V - V^T) takes a dense fraction-free Bareiss pass with
-    row swaps.
+    leaves a kernel, so det M = 0.  Non-symmetric input takes the dense
+    pass ``_dense_det`` on its rows; ``knots`` calls that pass directly on
+    the V - B V^T and V - V^T it builds as lists.
     """
     if not M.is_square:
         raise ValueError("determinant requires a square matrix")
-    n = M.nrows
     if M.is_symmetric:
         return _det_inertia(M)[0]
-    A = M.to_lists()
+    return _dense_det(M.to_lists())
+
+
+def _dense_det(A) -> int:
+    """Determinant of a square list of int rows by fraction-free Bareiss with row swaps.
+
+    The rows are consumed (eliminated in place); no rows give 1.  Nothing
+    is checked: the caller builds the rows from checked ints.
+    """
+    n = len(A)
+    if n == 0:
+        return 1
     sign = 1
     prev = 1
     for k in range(n - 1):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import isqrt
 
-from .exactmat import IntMatrix, _as_int, determinant
+from .exactmat import IntMatrix, _as_int, _dense_det, _parse_int
 
 
 class NonSymmetricPolynomial(ValueError):
@@ -35,9 +35,23 @@ class LaurentPoly:
         items = {}
         if coeffs:
             for e, c in dict(coeffs).items():
-                if _as_int(c, "coefficient") != 0:
-                    items[_as_int(e, "exponent")] = c
+                if type(c) is not int:  # _as_int raises; the guard saves a call per term
+                    _as_int(c, "coefficient")
+                if c:
+                    if type(e) is not int:
+                        _as_int(e, "exponent")
+                    items[e] = c
         self._coeffs = dict(sorted(items.items()))
+
+    @classmethod
+    def _of(cls, coeffs: dict) -> "LaurentPoly":
+        """Wrap coeffs, whose coefficients are nonzero ints and exponents ints in ascending order.
+
+        Nothing is checked or copied: the caller builds coeffs from a checked polynomial.
+        """
+        p = cls.__new__(cls)
+        p._coeffs = coeffs
+        return p
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
@@ -93,7 +107,7 @@ class LaurentPoly:
         return LaurentPoly(out)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({e: -c for e, c in self._coeffs.items()})
+        return LaurentPoly._of({e: -c for e, c in self._coeffs.items()})
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
@@ -108,7 +122,9 @@ class LaurentPoly:
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by t^k."""
-        return LaurentPoly({e + k: c for e, c in self._coeffs.items()})
+        if type(k) is not int:
+            _as_int(k, "shift")
+        return LaurentPoly._of({e + k: c for e, c in self._coeffs.items()})
 
     def evaluate_at_one(self) -> int:
         return sum(self._coeffs.values())
@@ -150,7 +166,7 @@ class LaurentPoly:
 
     @classmethod
     def from_dict(cls, data: dict) -> "LaurentPoly":
-        return cls({int(e): c for e, c in data.items()})
+        return cls({_parse_int(e, "exponent"): c for e, c in data.items()})
 
     def __str__(self):
         if self.is_zero:
@@ -189,8 +205,7 @@ class SeifertMatrixK:
             raise ValueError("Seifert matrix must have even size")
         if V.nrows > 0:
             rows = V.to_lists()
-            skew = IntMatrix([[a - b for a, b in zip(r, c)] for r, c in zip(rows, zip(*rows))])
-            if determinant(skew) != 1:
+            if _dense_det([[a - b for a, b in zip(r, c)] for r, c in zip(rows, zip(*rows))]) != 1:
                 raise ValueError(f"{self.name}: det(V - V^T) != 1, not a knot Seifert pairing")
 
     @property
@@ -240,7 +255,7 @@ def alexander(V: SeifertMatrixK) -> LaurentPoly:
     for r, c in zip(rows, cols):
         H *= _ceil_norm(r) + _ceil_norm(c)
     B = 2 * H + 1
-    x = determinant(IntMatrix([[a - B * b for a, b in zip(r, c)] for r, c in zip(rows, cols)]))
+    x = _dense_det([[a - B * b for a, b in zip(r, c)] for r, c in zip(rows, cols)])
     coeffs = {}
     for e in range(len(rows) + 1):
         d = x % B
@@ -290,6 +305,7 @@ def substitute_t_squared(p: LaurentPoly) -> LaurentPoly:
 class FamilyReport:
     expected_genus: int
     members: tuple
+    deltas: tuple  # each member's normalized Delta, in member order
     genus_ok: bool
     fibered_ok: bool
     distinct_ok: bool
@@ -305,13 +321,14 @@ class FamilyReport:
 def family_report(family, k: int) -> FamilyReport:
     """Gate a family: every member genus k, certificate passes, Delta pairwise distinct.
 
-    Each member's Delta is computed once; the certificate and the collision scan read it.
+    Each member's Delta is computed once; the certificate and the collision
+    scan read it, and the report keeps it (``deltas``) for knot surgery.
     """
     family = list(family)
     if not family:
         raise ValueError("family required")
     genus_failures = tuple(V.name for V in family if V.genus != k)
-    deltas = [alexander(V) for V in family]
+    deltas = tuple(alexander(V) for V in family)
     certs = [fibered_certificate(delta, V.genus) for V, delta in zip(family, deltas)]
     fibered_failures = tuple((V.name, c.reasons) for V, c in zip(family, certs) if not c.passes)
     pairs = combinations(zip(family, deltas), 2)
@@ -319,6 +336,7 @@ def family_report(family, k: int) -> FamilyReport:
     return FamilyReport(
         expected_genus=k,
         members=tuple(V.name for V in family),
+        deltas=deltas,
         genus_ok=not genus_failures,
         fibered_ok=not fibered_failures,
         distinct_ok=not collisions,

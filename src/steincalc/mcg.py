@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .exactmat import IntMatrix, _as_int
+from .exactmat import IntMatrix, _as_int, _parse_int
 
 
 @dataclass(frozen=True)
@@ -321,7 +321,7 @@ def parse_word(text: str, surface: SurfaceSpec, curves: dict | None = None) -> T
             pos += 1
             if pos >= len(tokens):
                 raise ValueError("dangling '^'")
-            exp = int(tokens[pos])
+            exp = _parse_int(tokens[pos], "exponent")
             pos += 1
             return exp
         return 1

@@ -207,6 +207,7 @@ def report_figure1(h: int, ps) -> Report:
 
 
 def _load_or_demo_family(family, k):
+    """(members, their Deltas) of a family that passes the genus-k gate and the certificate."""
     members = demo_family(k) if family is None else list(family)
     if not members:
         raise ValueError("family required")
@@ -216,7 +217,7 @@ def _load_or_demo_family(family, k):
     if not gate.fibered_ok:
         names = [name for name, _ in gate.fibered_failures]
         raise ValueError(f"family members fail the fiberedness certificate: {names}")
-    return members
+    return members, gate.deltas
 
 
 def report_thm44(g: int, k: int, r: int, family=None) -> Report:
@@ -226,7 +227,7 @@ def report_thm44(g: int, k: int, r: int, family=None) -> Report:
         raise ValueError("need g >= 2 and k >= 2")
     if not 1 <= r <= 4 * g + 3:
         raise ValueError(f"r must satisfy 1 <= r <= 4g+3 = {4 * g + 3}")
-    members = _load_or_demo_family(family, k)
+    members, deltas = _load_or_demo_family(family, k)
 
     rpt = Report(
         title=f"Simply-connected exotic fillings: g={g}, k={k}, r={r}",
@@ -238,8 +239,8 @@ def report_thm44(g: int, k: int, r: int, family=None) -> Report:
     rpt.check("sections of the double", str(((-2, 4 * g + 4),)), str(X2.sections))
 
     fillings = []
-    for V in members:
-        surgered = knot_surgery(X2, V, torus_null_homotopic=True)
+    for V, delta in zip(members, deltas):
+        surgered = knot_surgery(X2, V, delta, torus_null_homotopic=True)
         rpt.check(f"(chi, sigma) preserved by surgery on {V.name}", (X2.euler_char, X2.signature), (surgered.euler_char, surgered.signature), "fs-knot-surgery")
         fillings.append(excise_filling(surgered, r))
 
@@ -293,7 +294,7 @@ def report_thm53(m: int, n: int, k: int, family=None) -> Report:
         raise ValueError("n must be a positive integer")
     if k < 2:
         raise ValueError("k must be >= 2")
-    members = _load_or_demo_family(family, k)
+    members, deltas = _load_or_demo_family(family, k)
 
     rpt = Report(
         title=f"Exotic fillings with pi1 = Z + Z/{n}: m={m}, n={n}, k={k}",
@@ -309,8 +310,8 @@ def report_thm53(m: int, n: int, k: int, family=None) -> Report:
     rpt.check("twisted double keeps two sewn sections", str(((-2, 2),)), str(Wn.sections))
 
     fillings = []
-    for V in members:
-        surgered = knot_surgery(Wn, V, torus_null_homotopic=True)
+    for V, delta in zip(members, deltas):
+        surgered = knot_surgery(Wn, V, delta, torus_null_homotopic=True)
         rpt.check(
             f"pi1 tag preserved by surgery on {V.name}",
             f"Z + Z/{n}",

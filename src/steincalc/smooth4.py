@@ -220,18 +220,19 @@ def fiber_sum(M1: ManifoldRecord, M2: ManifoldRecord, twist: int | None = None) 
 
 
 def knot_surgery(
-    M: ManifoldRecord, K: SeifertMatrixK, torus_null_homotopic: bool = True
+    M: ManifoldRecord, K: SeifertMatrixK, delta: LaurentPoly, torus_null_homotopic: bool = True
 ) -> ManifoldRecord:
     """Knot surgery on the square-zero torus produced by the fiber sum.
 
-    chi and signature are untouched; the distinguisher gains the factor
+    ``delta`` is Delta_K, which the caller already holds (a report passes
+    its family gate's, ``replay`` computes ``alexander(K)``).  chi and
+    signature are untouched; the distinguisher gains the factor
     Delta_K(t^2); the fibration genus grows by twice the knot genus and
     the sections survive (they miss the torus).  The pi1 tag survives
     only when the torus' loops are null-homotopic.
     """
     if not any(step["op"] == "fiber_sum" for step in M.provenance):
         raise ValueError("knot surgery needs the fiber-sum torus: no fiber_sum in provenance")
-    delta = alexander(K)
     multiplier = substitute_t_squared(delta)
     pi1 = M.pi1 if torus_null_homotopic else Pi1Tag(PI1_UNKNOWN)
     step = {
@@ -410,7 +411,7 @@ def replay(provenance) -> ManifoldRecord:
             record = fiber_sum(replay(step["left"]), replay(step["right"]), twist=step["twist"])
         elif op == "knot_surgery":
             K = SeifertMatrixK.from_dict(step["knot"])
-            record = knot_surgery(record, K, torus_null_homotopic=step["torus_null_homotopic"])
+            record = knot_surgery(record, K, alexander(K), torus_null_homotopic=step["torus_null_homotopic"])
         elif op == "excise_filling":
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")

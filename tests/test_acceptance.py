@@ -221,7 +221,7 @@ def test_criterion_9_knot_surgery_invariance():
         for _ in range(100):
             K1 = random_seifert_matrix(rng, rng.randint(1, 2))
             K2 = random_seifert_matrix(rng, rng.randint(1, 2))
-            M = knot_surgery(knot_surgery(X2, K1), K2)
+            M = knot_surgery(knot_surgery(X2, K1, alexander(K1)), K2, alexander(K2))
             assert (M.euler_char, M.signature) == (X2.euler_char, X2.signature)
             want = (
                 alexander(K1).substitute_power(2) * alexander(K2).substitute_power(2)

@@ -332,3 +332,77 @@ class TestReportCommands:
         )
         assert code == 2
         assert "error" in err
+
+
+def run_exit(capsys, argv):
+    """run(), reading argparse's SystemExit as the exit code."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+# int() takes the first two as 10; every one of them is an error
+BAD_INTEGERS = ["1_0", "١٠", "3.0", "", "0x3"]
+
+
+@pytest.mark.parametrize("bad", BAD_INTEGERS, ids=["underscore", "arabic-indic", "float", "empty", "hex"])
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["seifert", "from-star", "g.json", "--center", "{bad}"], "--center"),
+        (["seifert", "open-book", "--genus", "{bad}", "--powers", "2,3"], "--genus"),
+        (["lf", "chi", "--catalog", "hyperelliptic", "--param", "{bad}"], "--param"),
+        (["lf", "chi", "--catalog", "korkmaz", "--param", "{bad}"], "--param"),
+        (["report", "figure1", "--genus", "{bad}", "--powers", "2,3"], "--genus"),
+        (["report", "thm44", "--g", "{bad}", "--k", "2", "--r", "1"], "--g"),
+        (["report", "thm44", "--g", "2", "--k", "{bad}", "--r", "1"], "--k"),
+        (["report", "thm44", "--g", "2", "--k", "2", "--r", "{bad}"], "--r"),
+        (["report", "thm53", "--m", "{bad}", "--n", "3", "--k", "2"], "--m"),
+        (["report", "thm53", "--m", "1", "--n", "{bad}", "--k", "2"], "--n"),
+        (["report", "thm53", "--m", "1", "--n", "3", "--k", "{bad}"], "--k"),
+        (["report", "cor55", "--h", "{bad}"], "--h"),
+        (["report", "cor55", "--h", "7", "--n", "{bad}"], "--n"),
+        (["seifert", "open-book", "--genus", "1", "--powers", "2,{bad}"], "power"),
+        (["report", "figure1", "--genus", "1", "--powers", "{bad},3"], "power"),
+        (["mcg", "action", "--word", "{word}", "--surface", "{bad},0"], "genus"),
+        (["mcg", "action", "--word", "{word}", "--surface", "1,{bad}"], "boundary count"),
+    ],
+)
+def test_integer_with_underscore_or_non_ascii_digits_is_an_error(capsys, tmp_path, argv, named, bad):
+    # '1_0' once ran as 10 everywhere here: lf chi reported 84 singular fibers
+    word = tmp_path / "w.txt"
+    word.write_text("c1 c2")
+    code, out, err = run_exit(capsys, [a.format(bad=bad, word=word) for a in argv])
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    if named.startswith("--"):
+        assert err.splitlines()[-1].endswith(f"error: argument {named}: invalid int value: {bad!r}")
+    else:
+        assert err == f"error: {named} {bad!r} is not an integer\n"
+
+
+@pytest.mark.parametrize("bad", BAD_INTEGERS, ids=["underscore", "arabic-indic", "float", "empty", "hex"])
+def test_word_exponent_with_underscore_or_non_ascii_digits_is_an_error(capsys, tmp_path, bad):
+    # (c1 c2)^1_0 once gave letter_count 20
+    word = tmp_path / "w.txt"
+    word.write_text(f"(c1 c2)^{bad}")
+    code, out, err = run(capsys, ["mcg", "action", "--word", str(word), "--surface", "1,0"])
+    assert code == 2
+    assert out == ""
+    # an empty exponent is no token: the '^' dangles
+    assert err == (f"error: exponent {bad!r} is not an integer\n" if bad else "error: dangling '^'\n")
+
+
+def test_signed_and_padded_integers_still_parse(capsys, tmp_path):
+    code, out, _ = run(capsys, ["lf", "chi", "--catalog", "hyperelliptic", "--param", " +3 "])
+    assert code == 0
+    assert json.loads(out)["singular_fibers"] == 28
+    word = tmp_path / "w.txt"
+    word.write_text("(c1 c2)^-3 (c2)^+2")
+    code, out, _ = run(capsys, ["mcg", "action", "--word", str(word), "--surface", " 1 , 0 "])
+    assert code == 0
+    assert json.loads(out)["letter_count"] == 8

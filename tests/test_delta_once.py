@@ -1,8 +1,9 @@
-"""Each pipeline stage computes a member's Alexander polynomial once.
+"""A report computes each family member's Alexander polynomial once.
 
-A report computes Delta twice per member: once in the family gate (read by
-the fiberedness certificate and the collision scan) and once in knot
-surgery.  The distinguisher line is read off the fillings, not recomputed.
+The family gate computes Delta once per member; the fiberedness
+certificate and the collision scan read it, and the gate hands it on to
+knot surgery (``FamilyReport.deltas``).  The distinguisher line is read off
+the fillings, not recomputed.
 """
 
 import json
@@ -12,7 +13,7 @@ import pytest
 
 from steincalc import knots
 from steincalc.cli import main
-from steincalc.knots import TREFOIL, LaurentPoly
+from steincalc.knots import TREFOIL, LaurentPoly, alexander, demo_family, family_report
 from steincalc.reports import report_corollary55, report_thm44, report_thm53
 
 # Normalized Delta of the demo-family blocks, written out by hand.
@@ -43,15 +44,21 @@ def alexander_calls(monkeypatch):
 @pytest.mark.parametrize(
     "build, calls",
     [
-        (lambda: report_thm44(2, 2, 1), 10),
-        (lambda: report_thm53(1, 3, 2), 10),
-        (lambda: report_corollary55(9), 20),
+        (lambda: report_thm44(2, 2, 1), 5),
+        (lambda: report_thm53(1, 3, 2), 5),
+        (lambda: report_corollary55(9), 10),
     ],
     ids=["thm44", "thm53", "cor55"],
 )
-def test_report_computes_delta_twice_per_member(alexander_calls, build, calls):
+def test_report_computes_delta_once_per_member(alexander_calls, build, calls):
     assert build().overall
     assert len(alexander_calls) == calls
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_gate_keeps_each_members_delta_in_order(k):
+    fam = demo_family(k)
+    assert family_report(fam, k).deltas == tuple(alexander(V) for V in fam)
 
 
 def test_cli_alexander_computes_delta_once(alexander_calls, capsys, tmp_path):

@@ -26,7 +26,9 @@ from sympy.polys.domains import ZZ
 from steincalc import exactmat
 from steincalc.exactmat import (
     IntMatrix,
+    _dense_det,
     _det_inertia,
+    _parse_int,
     determinant,
     is_negative_definite,
     signature,
@@ -189,6 +191,32 @@ class TestDeterminant:
                 rows[0][1] += 1
             assert not IntMatrix(rows).is_symmetric
             assert determinant(IntMatrix(rows)) == cofactor_det(rows)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_property_dense_det_against_cofactor_oracle(self, data):
+        # half the draws zero the first column or the leading entry, so a row swap runs
+        # (or none can, and det is 0); a third copy one row's multiple into another
+        n = data.draw(st.integers(0, 7))
+        entry = st.one_of(st.integers(-4, 4), st.sampled_from((2**70, -(3**45))))
+        rows = [[data.draw(entry) for _ in range(n)] for _ in range(n)]
+        if n:
+            zero = data.draw(st.sampled_from((None, None, "column", "lead")))
+            if zero == "column":
+                for r in rows:
+                    r[0] = 0
+            elif zero == "lead":
+                rows[0][0] = 0
+            if n > 1 and data.draw(st.integers(0, 2)) == 0:
+                i, j = data.draw(st.permutations(range(n)))[:2]
+                c = data.draw(st.integers(-3, 3))
+                rows[j] = [c * x for x in rows[i]]
+        want = cofactor_det(rows)
+        assert determinant(IntMatrix(rows)) == want
+        assert _dense_det([r[:] for r in rows]) == want
+
+    def test_dense_det_empty_is_one(self):
+        assert _dense_det([]) == 1
 
     def test_trees_against_leaf_pruning(self):
         # weight_bound 0 and 2 leave all-zero live diagonals, so the pair congruence runs
@@ -402,6 +430,17 @@ class TestPivotHeap:
         assert determinant(M) == cofactor_det(rows)
         assert signature(M) == charpoly_signature(rows)
         assert _det_inertia(M)[3] == len(rows) - len(pivots)
+
+
+class TestParseInt:
+    @pytest.mark.parametrize("text, value", [("7", 7), ("-7", -7), ("+7", 7), (" 7\n", 7), ("007", 7), ("-0", 0)])
+    def test_ascii_digits_with_sign_and_padding(self, text, value):
+        assert _parse_int(text, "n") == value
+
+    @pytest.mark.parametrize("text", ["1_0", "١٠", "٣", "²", "3.0", "", " ", "0x3", "1e3", "1 0", "+-1", "--1", "+", 7, None])
+    def test_anything_else_rejected(self, text):
+        with pytest.raises(ValueError, match=re.escape(f"n {text!r} is not an integer")):
+            _parse_int(text, "n")
 
 
 class TestIntMatrix:

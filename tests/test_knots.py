@@ -3,6 +3,8 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import matmul, naive_laurent_det, random_seifert_matrix
 
 from steincalc.exactmat import IntMatrix
@@ -59,6 +61,47 @@ class TestLaurentPoly:
     def test_json_roundtrip(self):
         p = LaurentPoly({3: -2, 0: 5, -3: -2})
         assert LaurentPoly.from_dict(p.to_dict()) == p
+
+    @pytest.mark.parametrize("key", ["1_0", "١٠", "3.0", "", "0x3"])
+    def test_from_dict_rejects_non_ascii_or_underscored_exponent(self, key):
+        with pytest.raises(ValueError, match="not an integer"):
+            LaurentPoly.from_dict({key: 1})
+
+    @pytest.mark.parametrize("coeffs", [{1: 1.0}, {1: True}, {1.0: 1}, {"1": 1}])
+    def test_constructor_checks_kept(self, coeffs):
+        with pytest.raises(ValueError, match="not an integer"):
+            LaurentPoly(coeffs)
+
+    def test_shift_rejects_non_integer(self):
+        with pytest.raises(ValueError, match="not an integer"):
+            TREFOIL_DELTA.shift(1.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.dictionaries(st.integers(-6, 6), st.integers(-5, 5) | st.just(2**80)),
+        st.integers(-8, 8),
+        st.dictionaries(st.integers(0, 5), st.integers(-5, 5).filter(bool), min_size=1),
+        st.booleans(),
+    )
+    def test_property_unchecked_paths_match_public_constructor(self, coeffs, k, half, negate):
+        # shift and negation build through _of; each must equal, term for term and
+        # in the same order, the polynomial the public constructor builds
+        p = LaurentPoly(coeffs)
+        for got, terms in (
+            (p.shift(k), {e + k: c for e, c in coeffs.items()}),
+            (-p, {e: -c for e, c in coeffs.items()}),
+        ):
+            want = LaurentPoly(terms)
+            assert got == want and list(got.items()) == list(want.items())
+        # normalized: a symmetric polynomial with positive leading coefficient, moved by -+t^k
+        top = max(half)
+        sym = dict(half) | {-e: c for e, c in half.items()}
+        if sym[top] < 0:
+            sym = {e: -c for e, c in sym.items()}
+        want = LaurentPoly(sym)
+        raw = LaurentPoly({e + k: -c if negate else c for e, c in sym.items()})
+        got = raw.normalized()
+        assert got == want and list(got.items()) == list(want.items())
 
 
 class TestAlexander:

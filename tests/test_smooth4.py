@@ -129,11 +129,11 @@ class TestFiberSum:
 class TestKnotSurgery:
     def test_requires_fiber_sum(self):
         with pytest.raises(ValueError):
-            knot_surgery(make_X_g1(2), TREFOIL)
+            knot_surgery(make_X_g1(2), TREFOIL, alexander(TREFOIL))
 
     def test_unknot_only_renames(self):
         X2 = fiber_sum(make_X_g1(2), make_X_g1(2))
-        M = knot_surgery(X2, UNKNOT)
+        M = knot_surgery(X2, UNKNOT, alexander(UNKNOT))
         assert (M.euler_char, M.signature) == (36, -24)
         assert M.fiber_genus == X2.fiber_genus
         assert M.sw_distinguisher == LaurentPoly.one()
@@ -141,19 +141,19 @@ class TestKnotSurgery:
 
     def test_trefoil_on_double(self):
         X2 = fiber_sum(make_X_g1(2), make_X_g1(2))
-        M = knot_surgery(X2, TREFOIL)
+        M = knot_surgery(X2, TREFOIL, alexander(TREFOIL))
         assert (M.euler_char, M.signature) == (36, -24)
         assert M.fiber_genus == 4
         assert M.sw_distinguisher == LaurentPoly({2: 1, 0: -1, -2: 1})
 
     def test_genus_two_knot(self):
         X2 = fiber_sum(make_X_g1(2), make_X_g1(2))
-        assert knot_surgery(X2, GENUS2).fiber_genus == 6
+        assert knot_surgery(X2, GENUS2, alexander(GENUS2)).fiber_genus == 6
 
     def test_null_homotopic_flag(self):
         Wn = fiber_sum(make_W(1), make_W(1), twist=5)
-        assert knot_surgery(Wn, TREFOIL, torus_null_homotopic=True).pi1.kind == PI1_Z_PLUS_ZN
-        assert knot_surgery(Wn, TREFOIL, torus_null_homotopic=False).pi1.kind == PI1_UNKNOWN
+        assert knot_surgery(Wn, TREFOIL, alexander(TREFOIL), torus_null_homotopic=True).pi1.kind == PI1_Z_PLUS_ZN
+        assert knot_surgery(Wn, TREFOIL, alexander(TREFOIL), torus_null_homotopic=False).pi1.kind == PI1_UNKNOWN
 
     def test_composition_multiplies(self):
         rng = random.Random(606)
@@ -161,7 +161,7 @@ class TestKnotSurgery:
         for _ in range(30):
             K1 = random_seifert_matrix(rng, rng.randint(1, 2))
             K2 = random_seifert_matrix(rng, rng.randint(1, 2))
-            M = knot_surgery(knot_surgery(X2, K1), K2)
+            M = knot_surgery(knot_surgery(X2, K1, alexander(K1)), K2, alexander(K2))
             assert (M.euler_char, M.signature) == (36, -24)
             want = (
                 alexander(K1).substitute_power(2) * alexander(K2).substitute_power(2)
@@ -172,7 +172,7 @@ class TestKnotSurgery:
 class TestExciseFilling:
     def pipeline(self, g, k_matrix, r):
         X2 = fiber_sum(make_X_g1(g), make_X_g1(g))
-        return excise_filling(knot_surgery(X2, k_matrix), r)
+        return excise_filling(knot_surgery(X2, k_matrix, alexander(k_matrix)), r)
 
     def test_reference_instance(self):
         # g = 2, genus-2 knot, r = 1: chi = 36 - (2 - 12) - 1 = 45, sigma unchanged
@@ -196,7 +196,7 @@ class TestExciseFilling:
     def test_twisted_pipeline_boundary(self):
         for m, k_mat in ((1, GENUS2), (2, GENUS2)):
             Wn = fiber_sum(make_W(m), make_W(m), twist=4)
-            V = excise_filling(knot_surgery(Wn, k_mat), 1)
+            V = excise_filling(knot_surgery(Wn, k_mat, alexander(k_mat)), 1)
             h = 2 * (m + 2) + 1
             assert V.boundary == SeifertData(h, -1, ((2, 1),))
             assert V.pi1.kind == PI1_Z_PLUS_ZN
@@ -250,21 +250,21 @@ class TestDistinguishers:
 
     def test_distinct_pair(self):
         X2 = self.double()
-        fam = [knot_surgery(X2, TREFOIL), knot_surgery(X2, FIGURE_EIGHT)]
+        fam = [knot_surgery(X2, TREFOIL, alexander(TREFOIL)), knot_surgery(X2, FIGURE_EIGHT, alexander(FIGURE_EIGHT))]
         rep = distinguisher_distinct(fam)
         assert rep.all_distinct and rep.pairs_total == 1
         assert "non-diffeomorphic" in rep.verdict
 
     def test_collision(self):
         X2 = self.double()
-        fam = [knot_surgery(X2, TREFOIL), knot_surgery(X2, TREFOIL)]
+        fam = [knot_surgery(X2, TREFOIL, alexander(TREFOIL)), knot_surgery(X2, TREFOIL, alexander(TREFOIL))]
         rep = distinguisher_distinct(fam)
         assert not rep.all_distinct
         assert len(rep.collisions) == 1
 
     def test_unknot_vs_trefoil(self):
         X2 = self.double()
-        fam = [knot_surgery(X2, UNKNOT), knot_surgery(X2, TREFOIL)]
+        fam = [knot_surgery(X2, UNKNOT, alexander(UNKNOT)), knot_surgery(X2, TREFOIL, alexander(TREFOIL))]
         assert distinguisher_distinct(fam).all_distinct
 
     def test_empty_rejected(self):
@@ -275,17 +275,17 @@ class TestDistinguishers:
 class TestProvenance:
     def test_replay_reproduces_closed_records(self):
         X2 = fiber_sum(make_X_g1(2), make_X_g1(2))
-        M = knot_surgery(knot_surgery(X2, TREFOIL), FIGURE_EIGHT)
+        M = knot_surgery(knot_surgery(X2, TREFOIL, alexander(TREFOIL)), FIGURE_EIGHT, alexander(FIGURE_EIGHT))
         assert replay(M.provenance) == M
 
     def test_replay_reproduces_fillings(self):
         Wn = fiber_sum(make_W(1), make_W(1), twist=3)
-        V = excise_filling(knot_surgery(Wn, GENUS2), 1)
+        V = excise_filling(knot_surgery(Wn, GENUS2, alexander(GENUS2)), 1)
         assert replay(V.provenance) == V
 
     def test_serialization_roundtrips_through_json(self):
         Wn = fiber_sum(make_W(1), make_W(1), twist=3)
-        V = excise_filling(knot_surgery(Wn, GENUS2), 1)
+        V = excise_filling(knot_surgery(Wn, GENUS2, alexander(GENUS2)), 1)
         data = json.loads(V.to_json())
         assert data["euler_char"] == V.euler_char
         assert replay(data["provenance"]) == V
