@@ -57,6 +57,7 @@ from .smooth4 import (
     Pi1Tag,
     distinguisher_distinct,
     excise_filling,
+    excise_fillings,
     fiber_sum,
     knot_surgery,
     make_W,

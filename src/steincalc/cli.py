@@ -11,7 +11,6 @@ pass.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -21,7 +20,7 @@ from .plumbing import PlumbingGraph, intersection_matrix
 
 
 def _dump(data, out: str | None) -> None:
-    text = json.dumps(data, indent=2, sort_keys=True) + "\n"
+    text = reports.json_text(data) + "\n"
     if out:
         Path(out).write_text(text)
     else:

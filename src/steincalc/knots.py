@@ -130,8 +130,11 @@ class LaurentPoly:
         return sum(self._coeffs.values())
 
     def substitute_power(self, k: int) -> "LaurentPoly":
-        """t -> t^k."""
-        return LaurentPoly({e * k: c for e, c in self._coeffs.items()})
+        """t -> t^k; at k = 0 every term lands on t^0, so the coefficients add up."""
+        out = {}
+        for e, c in self._coeffs.items():
+            out[e * k] = out.get(e * k, 0) + c
+        return LaurentPoly(out)
 
     @property
     def is_symmetric(self) -> bool:

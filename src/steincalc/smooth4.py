@@ -270,15 +270,10 @@ def _is_untwisted_double_of_X(provenance) -> bool:
     return sides_ok and tail_ok
 
 
-def excise_filling(M: ManifoldRecord, r: int) -> FillingRecord:
-    """Remove a regular fiber and r sections; return the filling's record.
+def _section_power(M: ManifoldRecord, r: int) -> int | None:
+    """Check that M admits the excision of a fiber and r sections; return the sections' -square.
 
-    With fiber genus h and sections of square -p:
-    chi(V) = chi(M) - (2 - 2h) - r  (fiber neighborhood plus r sphere
-    sections, each meeting the fiber once), and sigma(V) = sigma(M) minus
-    the signature of the excised star plumbing.  The boundary is the
-    Seifert space of the boundary-twist open book with r powers p; at
-    least one section is always retained.
+    None when r = 0 (only the fiber is removed).
     """
     if M.fiber_genus is None:
         raise ValueError("excision needs a fibration: fiber genus missing")
@@ -287,31 +282,35 @@ def excise_filling(M: ManifoldRecord, r: int) -> FillingRecord:
     squares = {sq for sq, _ in M.sections}
     if len(squares) > 1:
         raise ValueError(f"mixed section squares {sorted(squares)}; excision is ambiguous")
-    if r > 0:
-        if not M.sections:
-            raise ValueError("no sections recorded")
-        sq, count = M.sections[0]
-        if sq >= 0:
-            raise ValueError(f"sections of square {sq} do not bound the excision pattern")
-        if count < r + 1:
-            raise ValueError(f"need r+1 = {r + 1} sections (one retained), have {count}")
-        p = -sq
-    else:
+    if r == 0:
         warnings.warn("r = 0 removes only the fiber; the boundary is a surface bundle")
-        p = None
+        return None
+    if not M.sections:
+        raise ValueError("no sections recorded")
+    sq, count = M.sections[0]
+    if sq >= 0:
+        raise ValueError(f"sections of square {sq} do not bound the excision pattern")
+    if count < r + 1:
+        raise ValueError(f"need r+1 = {r + 1} sections (one retained), have {count}")
+    return -sq
 
+
+def _excised_piece(h: int, r: int, p: int | None) -> tuple:
+    """(signature of the excised star, boundary SeifertData, boundary H1 rank).
+
+    These depend on the fiber genus h, r and the section power p only, so a
+    family that shares them computes them once.
+    """
+    sigma_star = matrix_signature(intersection_matrix(_excised_star(h, r, p if p is not None else 1)))
+    if p is None:
+        return sigma_star, SeifertData(base_genus=h, e0=0, legs=()), 2 * h + 1
+    ob = OpenBookDesc(page_genus=h, powers=(p,) * r)
+    return sigma_star, openbook_manifold(ob), openbook_homology(ob)[0]
+
+
+def _filling(M: ManifoldRecord, r: int, piece: tuple) -> FillingRecord:
+    sigma_star, boundary, boundary_rank = piece
     h = M.fiber_genus
-    star = _excised_star(h, r, p if p is not None else 1)
-    sigma_star = matrix_signature(intersection_matrix(star))
-
-    if r > 0:
-        ob = OpenBookDesc(page_genus=h, powers=(p,) * r)
-        boundary = openbook_manifold(ob)
-        boundary_rank = openbook_homology(ob)[0]
-    else:
-        boundary = SeifertData(base_genus=h, e0=0, legs=())
-        boundary_rank = 2 * h + 1
-
     if boundary_rank > 0:
         det_flag, det_why = 0, "det-zero-from-boundary"
     else:
@@ -349,6 +348,31 @@ def excise_filling(M: ManifoldRecord, r: int) -> FillingRecord:
         det_intersection_form=det_flag,
         det_justification=det_why,
     )
+
+
+def excise_fillings(records, r: int) -> list:
+    """Remove a regular fiber and r sections from each record; return the fillings' records.
+
+    With fiber genus h and sections of square -p:
+    chi(V) = chi(M) - (2 - 2h) - r  (fiber neighborhood plus r sphere
+    sections, each meeting the fiber once), and sigma(V) = sigma(M) minus
+    the signature of the excised star plumbing.  The boundary is the
+    Seifert space of the boundary-twist open book with r powers p; at
+    least one section is always retained.  Every record is checked; the
+    excised piece is computed once for each distinct (h, p) among them.
+    """
+    records = list(records)
+    powers = [_section_power(M, r) for M in records]
+    pieces = {}
+    for M, p in zip(records, powers):
+        if (M.fiber_genus, p) not in pieces:
+            pieces[M.fiber_genus, p] = _excised_piece(M.fiber_genus, r, p)
+    return [_filling(M, r, pieces[M.fiber_genus, p]) for M, p in zip(records, powers)]
+
+
+def excise_filling(M: ManifoldRecord, r: int) -> FillingRecord:
+    """The filling of one record: ``excise_fillings([M], r)[0]``."""
+    return excise_fillings([M], r)[0]
 
 
 @dataclass(frozen=True)

@@ -264,6 +264,41 @@ class TestKnotsCommands:
         assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
+JSON_COMMANDS = {
+    "plumb-invariants": ["plumb", "invariants", "{star}"],
+    "plumb-moves": ["plumb", "moves", "{left}", "{script}"],
+    "seifert-from-star": ["seifert", "from-star", "{star}"],
+    "seifert-open-book": ["seifert", "open-book", "--genus", "2", "--powers", "2,3"],
+    "mcg-action": ["mcg", "action", "--word", "{word}", "--surface", "1,0"],
+    "lf-chi": ["lf", "chi", "--catalog", "korkmaz", "--param", "2"],
+    "knots-alexander": ["knots", "alexander", "{matrix}"],
+    "report-figure1": ["report", "figure1", "--genus", "1", "--powers", "2,3"],
+    "report-thm44": ["report", "thm44", "--g", "2", "--k", "2", "--r", "1"],
+    "report-thm53": ["report", "thm53", "--m", "1", "--n", "3", "--k", "2"],
+    "report-cor55": ["report", "cor55", "--h", "9"],
+    "report-family": ["report", "thm44", "--g", "2", "--k", "2", "--r", "1", "--family", "{family}"],
+}
+
+
+@pytest.mark.parametrize("command", list(JSON_COMMANDS))
+def test_json_output_equals_stdlib_reserialization(capsys, tmp_path, command):
+    members = [V.to_dict() for V in demo_family(2)]
+    members[0]["name"] = 'tr\u00e8fle "\u00e0 gauche"\t#2'  # non-ASCII, quote and control characters to escape
+    texts = {
+        "star": json.dumps(star_graph_right(1, (2, 3)).to_dict()),
+        "left": json.dumps(star_graph_left(1, (3,)).to_dict()),
+        "script": positive_star_reduction(1, (3,)).to_json(),
+        "word": "(c1 c2 c3^2 c2 c1)^2",
+        "matrix": json.dumps(TREFOIL.to_dict()),
+        "family": json.dumps(members),
+    }
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text)
+    code, out, _ = run(capsys, [a.format(**{name: tmp_path / name for name in texts}) for a in JSON_COMMANDS[command]])
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
 class TestReportCommands:
     def test_figure1_json(self, capsys):
         code, out, _ = run(capsys, ["report", "figure1", "--genus", "2", "--powers", "2,2"])

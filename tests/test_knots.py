@@ -265,6 +265,25 @@ class TestSubstitution:
             assert substitute_t_squared(p + q) == substitute_t_squared(p) + substitute_t_squared(q)
             assert substitute_t_squared(p * q) == substitute_t_squared(p) * substitute_t_squared(q)
 
+    def test_power_zero_evaluates_at_one(self):
+        # t -> t^0 sends every term to t^0: figure-eight t - 3 + t^-1 once gave 1, not Delta(1) = -1
+        assert FIG8_DELTA.substitute_power(0) == LaurentPoly({0: -1})
+        assert TREFOIL_DELTA.substitute_power(0) == LaurentPoly.one()
+        assert LaurentPoly({1: 1, -1: -1}).substitute_power(0).is_zero
+        rng = random.Random(56)
+        for _ in range(60):
+            p = LaurentPoly({rng.randint(-4, 4): rng.randint(-5, 5) for _ in range(4)})
+            assert p.substitute_power(0) == LaurentPoly({0: p.evaluate_at_one()})
+
+    def test_power_minus_one_mirrors(self):
+        assert LaurentPoly({2: 1, 1: -1, 0: 4}).substitute_power(-1) == LaurentPoly({-2: 1, -1: -1, 0: 4})
+        assert FIG8_DELTA.substitute_power(-1) == FIG8_DELTA
+        rng = random.Random(57)
+        for _ in range(60):
+            p = LaurentPoly({rng.randint(-4, 4): rng.randint(-5, 5) for _ in range(4)})
+            assert p.substitute_power(-1).substitute_power(-1) == p
+            assert p.substitute_power(-1) == LaurentPoly({-e: c for e, c in p.items()})
+
 
 class TestFamilies:
     def test_demo_family_genus_two(self):

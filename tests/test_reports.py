@@ -5,12 +5,15 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import steincalc
 from steincalc.bibliography import CITATIONS, DERIVED
 from steincalc.knots import TREFOIL, connected_sum, demo_family
 from steincalc.reports import (
     Report,
+    json_text,
     report_corollary55,
     report_figure1,
     report_thm44,
@@ -213,3 +216,59 @@ class TestReportMechanics:
     def test_demo_family_used_when_none_given(self):
         rpt = report_thm44(2, 2, 1, family=None)
         assert len(rpt.inputs["family"]) == len(demo_family(2))
+
+
+# Characters the writer must escape as json does: control, non-ASCII, astral and lone surrogates.
+JSON_CHARS = st.one_of(st.characters(), st.sampled_from('\x00\x1f\x7f\n\t"\\/\u00e9\u2028\ud800\U0001f600'))
+JSON_STRINGS = st.text(alphabet=JSON_CHARS, max_size=6)
+JSON_SCALARS = st.one_of(
+    JSON_STRINGS,
+    st.integers(),
+    st.integers(min_value=2**200, max_value=2**300),
+    st.integers(min_value=-(2**300), max_value=-(2**200)),
+    st.booleans(),
+    st.none(),
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(JSON_STRINGS, inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+class TestJsonText:
+    @settings(max_examples=300, deadline=None)
+    @given(JSON_VALUES)
+    @example({})
+    @example([[], {}, ((),), {"a": {"b": []}}])
+    @example({"\u00e9\x00": [2**255, -(2**201), True, None, ""]})
+    def test_equals_stdlib_indented_dump(self, data):
+        assert json_text(data) == json.dumps(data, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize(
+        "data",
+        [{1: "a"}, {"a": {None: 1}}, [{(1, 2): 0}], {"a": 1, 2: 3}, {True: 0}],
+        ids=["int", "nested-None", "tuple-in-list", "mixed", "bool"],
+    )
+    def test_non_str_key_raises(self, data):
+        with pytest.raises(TypeError):
+            json_text(data)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: report_figure1(1, (2, 3)),
+            lambda: report_thm44(2, 2, 1),
+            lambda: report_thm53(1, 3, 2),
+            lambda: report_corollary55(9),
+            lambda: report_corollary55(8, n=2),
+        ],
+        ids=["figure1", "thm44", "thm53", "cor55-odd", "cor55-even"],
+    )
+    def test_report_json_equals_stdlib(self, build):
+        d = build().to_dict()
+        assert build().to_json() == json.dumps(d, indent=2, sort_keys=True) + "\n"

@@ -16,6 +16,7 @@ from steincalc.smooth4 import (
     PI1_Z_PLUS_ZN,
     distinguisher_distinct,
     excise_filling,
+    excise_fillings,
     fiber_sum,
     knot_surgery,
     make_W,
@@ -242,6 +243,42 @@ class TestExciseFilling:
         V = excise_filling(squashed, 1)
         assert V.det_intersection_form is None
         assert "not determined" in V.det_justification
+
+
+class TestExciseFillings:
+    DOUBLES = {
+        "X(2,2)": lambda: fiber_sum(make_X_g1(2), make_X_g1(2)),
+        "X(3,2)": lambda: fiber_sum(make_X_g1(3), make_X_g1(3)),
+        "W_3(1)": lambda: fiber_sum(make_W(1), make_W(1), twist=3),
+    }
+
+    def surgered(self, double, k):
+        return [knot_surgery(self.DOUBLES[double](), V, alexander(V)) for V in demo_family(k)]
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("double", sorted(DOUBLES))
+    def test_equal_to_one_at_a_time_excision(self, double, k):
+        records = self.surgered(double, k)
+        for r in range(1, min(3, records[0].sections[0][1])):  # W_3(1) has two sections, so r = 1 only
+            assert excise_fillings(records, r) == [excise_filling(M, r) for M in records]
+
+    def test_empty_list_excises_nothing(self):
+        assert excise_fillings([], 1) == []
+
+    @pytest.mark.parametrize("bad_at", [0, 2, 4])
+    def test_mixed_section_squares_rejected_for_each_record(self, bad_at):
+        records = self.surgered("X(2,2)", 2)
+        records[bad_at] = dataclasses.replace(records[bad_at], sections=((-2, 3), (-1, 3)))
+        with pytest.raises(ValueError, match="mixed"):
+            excise_fillings(records, 1)
+
+    @pytest.mark.parametrize("bad_at", [0, 2, 4])
+    def test_too_few_sections_rejected_for_each_record(self, bad_at):
+        records = self.surgered("X(2,2)", 2)
+        records[bad_at] = dataclasses.replace(records[bad_at], sections=((-2, 2),))
+        with pytest.raises(ValueError, match="retained"):
+            excise_fillings(records, 2)
+        assert len(excise_fillings(records, 1)) == len(records)
 
 
 class TestDistinguishers:
