@@ -276,6 +276,7 @@ JSON_COMMANDS = {
     "report-thm44": ["report", "thm44", "--g", "2", "--k", "2", "--r", "1"],
     "report-thm53": ["report", "thm53", "--m", "1", "--n", "3", "--k", "2"],
     "report-cor55": ["report", "cor55", "--h", "9"],
+    "report-cor55-even": ["report", "cor55", "--h", "8", "--n", "2"],
     "report-family": ["report", "thm44", "--g", "2", "--k", "2", "--r", "1", "--family", "{family}"],
 }
 

@@ -257,18 +257,3 @@ class TestJsonText:
     def test_non_str_key_raises(self, data):
         with pytest.raises(TypeError):
             json_text(data)
-
-    @pytest.mark.parametrize(
-        "build",
-        [
-            lambda: report_figure1(1, (2, 3)),
-            lambda: report_thm44(2, 2, 1),
-            lambda: report_thm53(1, 3, 2),
-            lambda: report_corollary55(9),
-            lambda: report_corollary55(8, n=2),
-        ],
-        ids=["figure1", "thm44", "thm53", "cor55-odd", "cor55-even"],
-    )
-    def test_report_json_equals_stdlib(self, build):
-        d = build().to_dict()
-        assert build().to_json() == json.dumps(d, indent=2, sort_keys=True) + "\n"
