@@ -35,7 +35,6 @@ from .plumbing import (
     MoveScript,
     PlumbingGraph,
     blow_down,
-    blow_up,
     boundary_homology,
     grauert_check,
     intersection_matrix,
@@ -56,7 +55,6 @@ from .smooth4 import (
     ManifoldRecord,
     Pi1Tag,
     distinguisher_distinct,
-    excise_filling,
     excise_fillings,
     fiber_sum,
     knot_surgery,

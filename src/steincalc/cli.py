@@ -33,7 +33,6 @@ def _graph_invariants(G: PlumbingGraph) -> dict:
     det, pos, neg, _ = _det_inertia(M)  # one pivot pass; an intersection form is symmetric
     return {
         "graph": G.to_dict(),
-        "intersection_matrix": M.to_lists(),
         "determinant": det,
         "signature": pos - neg,
         "negative_definite": neg == M.nrows,
@@ -91,7 +90,10 @@ def _cmd_seifert_open_book(args) -> int:
 
 
 def _cmd_mcg_action(args) -> int:
-    g_str, r_str = args.surface.split(",")
+    parts = args.surface.split(",")
+    if len(parts) != 2:
+        raise ValueError(f"--surface is genus,boundary_count, not {args.surface!r}")
+    g_str, r_str = parts
     surface = mcg.SurfaceSpec(
         genus=_parse_int(g_str, "genus"), boundary_count=_parse_int(r_str, "boundary count")
     )

@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations
 from math import isqrt
 
-from .exactmat import IntMatrix, _as_int, _dense_det, _parse_int
+from .exactmat import IntMatrix, _as_int, _dense_det
 
 
 class NonSymmetricPolynomial(ValueError):
@@ -167,10 +166,6 @@ class LaurentPoly:
     def to_dict(self) -> dict:
         return {str(e): c for e, c in self._coeffs.items()}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "LaurentPoly":
-        return cls({_parse_int(e, "exponent"): c for e, c in data.items()})
-
     def __str__(self):
         if self.is_zero:
             return "0"
@@ -220,7 +215,7 @@ class SeifertMatrixK:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SeifertMatrixK":
-        if not isinstance(data, dict) or not isinstance(data.get("name"), str):
+        if not isinstance(data, dict) or not isinstance(data.get("name"), str) or "matrix" not in data:
             raise ValueError("a Seifert matrix is {'name': str, 'matrix': [[int, ...], ...]}")
         return cls(name=data["name"], matrix=IntMatrix(data["matrix"]))
 
@@ -306,26 +301,20 @@ def substitute_t_squared(p: LaurentPoly) -> LaurentPoly:
 
 @dataclass(frozen=True)
 class FamilyReport:
-    expected_genus: int
-    members: tuple
     deltas: tuple  # each member's normalized Delta, in member order
     genus_ok: bool
     fibered_ok: bool
-    distinct_ok: bool
     genus_failures: tuple
     fibered_failures: tuple
-    collisions: tuple
-
-    @property
-    def passes(self) -> bool:
-        return self.genus_ok and self.fibered_ok and self.distinct_ok
 
 
 def family_report(family, k: int) -> FamilyReport:
-    """Gate a family: every member genus k, certificate passes, Delta pairwise distinct.
+    """Gate a family: every member has genus k and passes the certificate.
 
-    Each member's Delta is computed once; the certificate and the collision
-    scan read it, and the report keeps it (``deltas``) for knot surgery.
+    Each member's Delta is computed once; the certificate reads it, and the
+    report keeps it (``deltas``) for knot surgery.  Distinctness is judged
+    later, on the surgered distinguishers Delta(t^2), which are distinct
+    exactly when the Deltas are.
     """
     family = list(family)
     if not family:
@@ -334,18 +323,12 @@ def family_report(family, k: int) -> FamilyReport:
     deltas = tuple(alexander(V) for V in family)
     certs = [fibered_certificate(delta, V.genus) for V, delta in zip(family, deltas)]
     fibered_failures = tuple((V.name, c.reasons) for V, c in zip(family, certs) if not c.passes)
-    pairs = combinations(zip(family, deltas), 2)
-    collisions = tuple((V.name, W.name) for (V, dv), (W, dw) in pairs if dv == dw)
     return FamilyReport(
-        expected_genus=k,
-        members=tuple(V.name for V in family),
         deltas=deltas,
         genus_ok=not genus_failures,
         fibered_ok=not fibered_failures,
-        distinct_ok=not collisions,
         genus_failures=genus_failures,
         fibered_failures=fibered_failures,
-        collisions=collisions,
     )
 
 

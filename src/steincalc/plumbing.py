@@ -148,8 +148,8 @@ class PlumbingGraph:
     def from_dict(cls, data: dict) -> "PlumbingGraph":
         try:
             verts = [(v["id"], v["weight"], v.get("genus", 0)) for v in data["vertices"]]
-            edges = [tuple(e) for e in data["edges"]]
-        except (TypeError, AttributeError):
+            edges = [(a, b) for a, b in data["edges"]]
+        except (TypeError, AttributeError, KeyError, ValueError):  # ValueError: an edge that is no pair
             raise ValueError(
                 "a graph is {'vertices': [{'id', 'weight', 'genus'}, ...], 'edges': [[a, b], ...]}"
             ) from None
@@ -254,14 +254,6 @@ def blow_up_on_edge(G: PlumbingGraph, a: int, b: int, sign: int = -1) -> Plumbin
     edges = [(x, y) for x, y in G.edges if frozenset((x, y)) != frozenset((a, b))]
     edges += [(a, nid), (nid, b)]
     return PlumbingGraph(verts, edges)
-
-
-def blow_up(G: PlumbingGraph, location, sign: int = -1) -> PlumbingGraph:
-    """Dispatch on the location: a vertex id, or an (a, b) edge pair."""
-    if isinstance(location, int):
-        return blow_up_at_vertex(G, location, sign)
-    a, b = location
-    return blow_up_on_edge(G, a, b, sign)
 
 
 def blow_down(G: PlumbingGraph, v: int) -> PlumbingGraph:

@@ -425,6 +425,8 @@ def report_corollary55(h: int, n: int = 1, family=None) -> Report:
     h, n = _as_int(h, "h"), _as_int(n, "n")
     if h < 7:
         raise ValueError("h must be >= 7")
+    if n < 1:
+        raise ValueError("n must be a positive integer")
     k = 2
     members, deltas = _load_or_demo_family(family, k)
     rpt = Report(

@@ -21,7 +21,6 @@ routes stay independent.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -93,14 +92,6 @@ class OpenBookDesc:
 
     def to_dict(self) -> dict:
         return {"page_genus": self.page_genus, "powers": list(self.powers)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "OpenBookDesc":
-        return cls(page_genus=data["page_genus"], powers=tuple(data["powers"]))
-
-    @classmethod
-    def from_json(cls, text: str) -> "OpenBookDesc":
-        return cls.from_dict(json.loads(text))
 
 
 def negative_continued_fraction(values) -> Fraction:

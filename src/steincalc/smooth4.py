@@ -2,8 +2,8 @@
 
 Records carry (Euler characteristic, signature, fiber genus, section
 families, a fundamental-group tag, a Seiberg-Witten distinguisher) plus a
-provenance log that replays to the same record.  Three honesty rules
-shape the module:
+provenance log of the steps that built them, which the naming, pi1 and
+surgery rules read.  Three honesty rules shape the module:
 
 * pi1 is never computed.  The tag moves only by catalog rules, each with
   a citation; anything else becomes "unknown".
@@ -18,14 +18,13 @@ shape the module:
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field, replace
 
 from . import bibliography
 from .exactmat import _as_int
 from .exactmat import signature as matrix_signature
-from .knots import LaurentPoly, SeifertMatrixK, alexander, substitute_t_squared
+from .knots import LaurentPoly, SeifertMatrixK, substitute_t_squared
 from .plumbing import PlumbingGraph, intersection_matrix
 from .seifert import OpenBookDesc, SeifertData, openbook_homology, openbook_manifold
 
@@ -54,9 +53,6 @@ class Pi1Tag:
             return f"genus-{self.param} surface group"
         return self.kind
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "param": self.param, "citation": self.citation}
-
 
 @dataclass(frozen=True)
 class ManifoldRecord:
@@ -69,46 +65,13 @@ class ManifoldRecord:
     sw_distinguisher: LaurentPoly
     provenance: tuple = field(default=())
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "euler_char": self.euler_char,
-            "signature": self.signature,
-            "fiber_genus": self.fiber_genus,
-            "sections": [list(s) for s in self.sections],
-            "pi1": self.pi1.to_dict(),
-            "sw_distinguisher": self.sw_distinguisher.to_dict(),
-            "provenance": [dict(p) for p in self.provenance],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
 
 @dataclass(frozen=True)
 class FillingRecord(ManifoldRecord):
     boundary: SeifertData | None = None
     stein_flag: bool = False
-    stein_citation: str | None = None
     simply_connected: bool | None = None
-    simply_connected_citation: str | None = None
     det_intersection_form: int | None = None
-    det_justification: str = ""
-
-    def to_dict(self) -> dict:
-        d = super().to_dict()
-        d.update(
-            {
-                "boundary": self.boundary.to_dict() if self.boundary else None,
-                "stein_flag": self.stein_flag,
-                "stein_citation": self.stein_citation,
-                "simply_connected": self.simply_connected,
-                "simply_connected_citation": self.simply_connected_citation,
-                "det_intersection_form": self.det_intersection_form,
-                "det_justification": self.det_justification,
-            }
-        )
-        return d
 
 
 def make_X_g1(g: int) -> ManifoldRecord:
@@ -205,7 +168,6 @@ def fiber_sum(M1: ManifoldRecord, M2: ManifoldRecord, twist: int | None = None) 
         "twist": twist,
         "left": [dict(p) for p in M1.provenance],
         "right": [dict(p) for p in M2.provenance],
-        "note": "sw distinguisher reset to 1 at fiber sum",
     }
     return ManifoldRecord(
         name=_sum_name(M1, M2, twist),
@@ -225,7 +187,7 @@ def knot_surgery(
     """Knot surgery on the square-zero torus produced by the fiber sum.
 
     ``delta`` is Delta_K, which the caller already holds (a report passes
-    its family gate's, ``replay`` computes ``alexander(K)``).  chi and
+    its family gate's).  chi and
     signature are untouched; the distinguisher gains the factor
     Delta_K(t^2); the fibration genus grows by twice the knot genus and
     the sections survive (they miss the torus).  The pi1 tag survives
@@ -237,7 +199,7 @@ def knot_surgery(
     pi1 = M.pi1 if torus_null_homotopic else Pi1Tag(PI1_UNKNOWN)
     step = {
         "op": "knot_surgery",
-        "knot": K.to_dict(),
+        "knot": K.name,
         "torus_null_homotopic": torus_null_homotopic,
     }
     return replace(
@@ -311,21 +273,13 @@ def _excised_piece(h: int, r: int, p: int | None) -> tuple:
 def _filling(M: ManifoldRecord, r: int, piece: tuple) -> FillingRecord:
     sigma_star, boundary, boundary_rank = piece
     h = M.fiber_genus
-    if boundary_rank > 0:
-        det_flag, det_why = 0, "det-zero-from-boundary"
-    else:
-        det_flag, det_why = None, "boundary has finite first homology; determinant not determined"
-
     simply_connected = None
-    sc_citation = None
     pi1 = M.pi1
     if _is_untwisted_double_of_X(M.provenance):
         simply_connected = True
-        sc_citation = "simply-connected-fillings"
-        pi1 = Pi1Tag(PI1_TRIVIAL, citation=sc_citation)
+        pi1 = Pi1Tag(PI1_TRIVIAL, citation="simply-connected-fillings")
     elif M.pi1.kind in (PI1_Z_PLUS_ZN, PI1_PRODUCT_SURFACE):
         simply_connected = False
-        sc_citation = M.pi1.citation
 
     retained = ()
     if M.sections and M.sections[0][1] - r > 0:
@@ -342,11 +296,8 @@ def _filling(M: ManifoldRecord, r: int, piece: tuple) -> FillingRecord:
         provenance=M.provenance + ({"op": "excise_filling", "r": r},),
         boundary=boundary,
         stein_flag=True,
-        stein_citation="palf-stein-filling",
         simply_connected=simply_connected,
-        simply_connected_citation=sc_citation,
-        det_intersection_form=det_flag,
-        det_justification=det_why,
+        det_intersection_form=0 if boundary_rank > 0 else None,  # finite H1 does not fix the determinant
     )
 
 
@@ -370,17 +321,10 @@ def excise_fillings(records, r: int) -> list:
     return [_filling(M, r, pieces[M.fiber_genus, p]) for M, p in zip(records, powers)]
 
 
-def excise_filling(M: ManifoldRecord, r: int) -> FillingRecord:
-    """The filling of one record: ``excise_fillings([M], r)[0]``."""
-    return excise_fillings([M], r)[0]
-
-
 @dataclass(frozen=True)
 class DistinctnessReport:
-    names: tuple
     pairs_total: int
     collisions: tuple
-    citations: tuple = ("fs-distinguishes", "sw-nonvanishing-assumption")
 
     @property
     def all_distinct(self) -> bool:
@@ -392,16 +336,6 @@ class DistinctnessReport:
             return "pairwise non-diffeomorphic (conditional on cited SW nonvanishing)"
         pairs = ", ".join(f"{a} ~ {b}" for a, b in self.collisions)
         return f"distinguishers collide: {pairs}"
-
-    def to_dict(self) -> dict:
-        return {
-            "names": list(self.names),
-            "pairs_total": self.pairs_total,
-            "collisions": [list(c) for c in self.collisions],
-            "all_distinct": self.all_distinct,
-            "verdict": self.verdict,
-            "citations": list(self.citations),
-        }
 
 
 def distinguisher_distinct(family) -> DistinctnessReport:
@@ -416,32 +350,7 @@ def distinguisher_distinct(family) -> DistinctnessReport:
             if polys[i][1] == polys[j][1]:
                 collisions.append((polys[i][0], polys[j][0]))
     return DistinctnessReport(
-        names=tuple(n for n, _ in polys),
         pairs_total=len(polys) * (len(polys) - 1) // 2,
         collisions=tuple(collisions),
     )
 
-
-def replay(provenance) -> ManifoldRecord:
-    """Re-run a provenance log; the result must equal the original record."""
-    record = None
-    for step in provenance:
-        op = step["op"]
-        if op == "make_X_g1":
-            record = make_X_g1(step["g"])
-        elif op == "make_W":
-            record = make_W(step["m"])
-        elif op == "fiber_sum":
-            record = fiber_sum(replay(step["left"]), replay(step["right"]), twist=step["twist"])
-        elif op == "knot_surgery":
-            K = SeifertMatrixK.from_dict(step["knot"])
-            record = knot_surgery(record, K, alexander(K), torus_null_homotopic=step["torus_null_homotopic"])
-        elif op == "excise_filling":
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                record = excise_filling(record, step["r"])
-        else:
-            raise ValueError(f"unknown provenance op {op!r}")
-    if record is None:
-        raise ValueError("empty provenance")
-    return record

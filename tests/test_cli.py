@@ -28,6 +28,21 @@ class TestPlumbCommands:
         assert data["boundary_homology"] == {"rank": 4, "torsion": [5]}
         assert data["determinant"] == 5
 
+    def test_invariants_output_keys(self, capsys, tmp_path):
+        # the graph fixes the intersection form, so no dense matrix is printed
+        graph = tmp_path / "g.json"
+        script = tmp_path / "s.json"
+        graph.write_text(json.dumps(star_graph_left(1, (3,)).to_dict()))
+        script.write_text(positive_star_reduction(1, (3,)).to_json())
+        keys = {"graph", "determinant", "signature", "negative_definite", "boundary_homology"}
+        code, out, _ = run(capsys, ["plumb", "invariants", str(graph)])
+        assert code == 0
+        assert set(json.loads(out)) == keys
+        code, out, _ = run(capsys, ["plumb", "moves", str(graph), str(script)])
+        assert code == 0
+        data = json.loads(out)
+        assert set(data["before"]) == set(data["after"]) == keys
+
     def test_three_hundred_vertex_tree_in_under_a_second(self, capsys, tmp_path):
         # a dense O(n^3) determinant once took ~4 s here
         G = resolution_tree(random.Random(300), 300)
@@ -163,6 +178,16 @@ class TestMcgCommands:
         assert out == ""
         assert err.startswith("error: ") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("surface", ["1", "1,0,1"])
+    def test_malformed_surface_names_the_shape(self, capsys, tmp_path, surface):
+        # these once printed Python's "not enough / too many values to unpack"
+        word = tmp_path / "w.txt"
+        word.write_text("c1 c2")
+        code, out, err = run(capsys, ["mcg", "action", "--word", str(word), "--surface", surface])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --surface is genus,boundary_count, not {surface!r}\n"
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -225,6 +250,26 @@ class TestLfCommands:
         assert err.startswith("error: ") and "-1.7" in err
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"vertices": [{"id": 0}], "edges": []},
+            {"edges": []},
+            {"vertices": [{"id": 0, "weight": -2}, {"id": 1, "weight": -2}], "edges": [[0, 1, 2]]},
+            {"vertices": [{"id": 0, "weight": -2}, {"id": 1, "weight": -2}], "edges": [[0]]},
+        ],
+        ids=["no-weight", "no-vertices", "edge-triple", "edge-single"],
+    )
+    @pytest.mark.parametrize("command", [["plumb", "invariants"], ["seifert", "from-star"]])
+    def test_malformed_graph_file_names_the_shape(self, capsys, tmp_path, payload, command):
+        # these once printed "error: 'weight'" or an unpacking message
+        graph = tmp_path / "g.json"
+        graph.write_text(json.dumps(payload))
+        code, out, err = run(capsys, command + [str(graph)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: a graph is {'vertices'") and len(err.splitlines()) == 1
+
     def test_list_vertices_are_an_error(self, capsys, tmp_path):
         graph = tmp_path / "g.json"
         graph.write_text(json.dumps({"vertices": [[0, -2, 0], [1, -2, 0]], "edges": [[0, 1]]}))
@@ -254,6 +299,15 @@ class TestKnotsCommands:
         assert err.startswith("error: ") and "-1.7" in err
         assert len(err.splitlines()) == 1
 
+
+    def test_matrix_object_without_matrix_names_the_shape(self, capsys, tmp_path):
+        # this once printed "error: 'matrix'"
+        matrix = tmp_path / "V.json"
+        matrix.write_text(json.dumps({"name": "x"}))
+        code, out, err = run(capsys, ["knots", "alexander", str(matrix)])
+        assert code == 2
+        assert out == ""
+        assert err == "error: a Seifert matrix is {'name': str, 'matrix': [[int, ...], ...]}\n"
 
     def test_scalar_matrix_is_an_error(self, capsys, tmp_path):
         matrix = tmp_path / "V.json"
@@ -337,7 +391,7 @@ class TestReportCommands:
         )
         assert code == 0
 
-    @pytest.mark.parametrize("payload", [5, [{"matrix": [[-1, 1], [0, -1]]}], [[[-1, 1], [0, -1]]]])
+    @pytest.mark.parametrize("payload", [5, [{"matrix": [[-1, 1], [0, -1]]}], [[[-1, 1], [0, -1]]], [{"name": "x"}]])
     def test_malformed_family_file_is_an_error(self, capsys, tmp_path, payload):
         fam = tmp_path / "family.json"
         fam.write_text(json.dumps(payload))
@@ -360,6 +414,14 @@ class TestReportCommands:
         )
         assert code == 1
         assert json.loads(out)["overall"] == "FAIL"
+
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_cor55_n_below_one_exits_two(self, capsys, n):
+        # at even h, n = 0 once passed with inputs.n = 0
+        code, out, err = run(capsys, ["report", "cor55", "--h", "8", "--n", n])
+        assert code == 2
+        assert out == ""
+        assert err == "error: n must be a positive integer\n"
 
     def test_missing_file_exits_two(self, capsys):
         code, _, err = run(

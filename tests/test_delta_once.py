@@ -19,7 +19,7 @@ from steincalc import knots, seifert
 from steincalc.cli import main
 from steincalc.knots import TREFOIL, LaurentPoly, alexander, demo_family, family_report
 from steincalc.reports import report_corollary55, report_thm44, report_thm53
-from steincalc.smooth4 import excise_filling, excise_fillings, fiber_sum, knot_surgery, make_X_g1
+from steincalc.smooth4 import excise_fillings, fiber_sum, knot_surgery, make_X_g1
 
 # Normalized Delta of the demo-family blocks, written out by hand.
 TREFOIL_DELTA = LaurentPoly({1: 1, 0: -1, -1: 1})
@@ -91,7 +91,7 @@ def test_records_of_different_fiber_genus_get_their_own_piece(openbook_homology_
     fillings = excise_fillings(records, 1)
     assert len(openbook_homology_calls) == 3
     assert [f.boundary.base_genus for f in fillings] == [6, 6, 7, 7, 2]
-    assert fillings == [excise_filling(M, 1) for M in records]
+    assert fillings == [excise_fillings([M], 1)[0] for M in records]
 
 
 @pytest.mark.parametrize("k", [2, 3])

@@ -10,7 +10,6 @@ from steincalc.plumbing import (
     MoveScript,
     PlumbingGraph,
     blow_down,
-    blow_up,
     blow_up_at_vertex,
     blow_up_on_edge,
     boundary_homology,
@@ -209,9 +208,10 @@ class TestMoves:
                 assert cofactor_det(intersection_matrix(H).to_lists()) == -d0
 
     def test_dispatcher(self):
-        G = star_graph_left(0, (2, 2))
-        assert blow_up(G, 0) == blow_up_at_vertex(G, 0)
-        assert blow_up(G, (0, 1)) == blow_up_on_edge(G, 0, 1)
+        G = star_graph_left(0, (1, 2))  # leaf 1 has weight +1
+        assert Move(op="blow_up_at_vertex", vertex=0).apply(G) == blow_up_at_vertex(G, 0)
+        assert Move(op="blow_up_on_edge", edge=(0, 1)).apply(G) == blow_up_on_edge(G, 0, 1)
+        assert Move(op="blow_down", vertex=1).apply(G) == blow_down(G, 1)
 
     def test_blow_down_rejects_wrong_weight(self):
         G = PlumbingGraph([(0, -3, 0), (1, -2, 0)], [(0, 1)])

@@ -134,6 +134,13 @@ class TestCorollary55:
         with pytest.raises(ValueError):
             report_corollary55(6)
 
+    @pytest.mark.parametrize("h", [8, 9])
+    @pytest.mark.parametrize("n", [0, -4])
+    def test_n_below_one_rejected_at_either_parity(self, h, n):
+        # at even h, n once went unchecked and the report passed with inputs.n = 0
+        with pytest.raises(ValueError, match="n must be a positive integer"):
+            report_corollary55(h, n=n)
+
     def test_nontrivial_n(self):
         rpt = report_corollary55(9, n=4)
         assert rpt.overall

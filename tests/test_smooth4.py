@@ -1,5 +1,4 @@
 import dataclasses
-import json
 import random
 from fractions import Fraction
 
@@ -15,13 +14,11 @@ from steincalc.smooth4 import (
     PI1_UNKNOWN,
     PI1_Z_PLUS_ZN,
     distinguisher_distinct,
-    excise_filling,
     excise_fillings,
     fiber_sum,
     knot_surgery,
     make_W,
     make_X_g1,
-    replay,
 )
 
 GENUS2 = connected_sum(TREFOIL, TREFOIL)
@@ -37,7 +34,7 @@ class TestIntegerParameters:
         [
             make_X_g1,
             make_W,
-            lambda x: excise_filling(fiber_sum(make_X_g1(2), make_X_g1(2)), x),
+            lambda x: excise_fillings([fiber_sum(make_X_g1(2), make_X_g1(2))], x),
         ],
         ids=["make_X_g1", "make_W", "excise_filling-r"],
     )
@@ -173,7 +170,7 @@ class TestKnotSurgery:
 class TestExciseFilling:
     def pipeline(self, g, k_matrix, r):
         X2 = fiber_sum(make_X_g1(g), make_X_g1(g))
-        return excise_filling(knot_surgery(X2, k_matrix, alexander(k_matrix)), r)
+        return excise_fillings([knot_surgery(X2, k_matrix, alexander(k_matrix))], r)[0]
 
     def test_reference_instance(self):
         # g = 2, genus-2 knot, r = 1: chi = 36 - (2 - 12) - 1 = 45, sigma unchanged
@@ -181,7 +178,7 @@ class TestExciseFilling:
         assert (V.euler_char, V.signature) == (45, -24)
         assert V.boundary == SeifertData(6, -1, ((2, 1),))
         assert V.boundary.euler_number == Fraction(-1, 2)
-        assert V.stein_flag and V.stein_citation
+        assert V.stein_flag
         assert V.simply_connected is True
         assert V.pi1.kind == PI1_TRIVIAL
         assert V.det_intersection_form == 0
@@ -189,7 +186,7 @@ class TestExciseFilling:
     def test_fiber_only_warns(self):
         X2 = fiber_sum(make_X_g1(2), make_X_g1(2))
         with pytest.warns(UserWarning):
-            V = excise_filling(X2, 0)
+            [V] = excise_fillings([X2], 0)
         assert V.euler_char == X2.euler_char - (2 - 2 * X2.fiber_genus)
         assert V.signature == X2.signature
         assert not V.boundary.legs
@@ -197,7 +194,7 @@ class TestExciseFilling:
     def test_twisted_pipeline_boundary(self):
         for m, k_mat in ((1, GENUS2), (2, GENUS2)):
             Wn = fiber_sum(make_W(m), make_W(m), twist=4)
-            V = excise_filling(knot_surgery(Wn, k_mat, alexander(k_mat)), 1)
+            [V] = excise_fillings([knot_surgery(Wn, k_mat, alexander(k_mat))], 1)
             h = 2 * (m + 2) + 1
             assert V.boundary == SeifertData(h, -1, ((2, 1),))
             assert V.pi1.kind == PI1_Z_PLUS_ZN
@@ -206,7 +203,7 @@ class TestExciseFilling:
     def test_too_few_sections(self):
         X2 = fiber_sum(make_X_g1(2), make_X_g1(2))
         with pytest.raises(ValueError, match="retained"):
-            excise_filling(X2, 12)  # only 12 sections: r = 12 keeps none
+            excise_fillings([X2], 12)  # only 12 sections: r = 12 keeps none
 
     def test_sections_retained_count(self):
         V = self.pipeline(2, GENUS2, 3)
@@ -223,26 +220,29 @@ class TestExciseFilling:
     def test_negative_r_rejected(self):
         X2 = fiber_sum(make_X_g1(2), make_X_g1(2))
         with pytest.raises(ValueError):
-            excise_filling(X2, -1)
+            excise_fillings([X2], -1)
 
     def test_mixed_section_squares_rejected(self):
         X2 = fiber_sum(make_X_g1(2), make_X_g1(2))
         mixed = dataclasses.replace(X2, sections=((-2, 3), (-1, 3)))
         with pytest.raises(ValueError, match="mixed"):
-            excise_filling(mixed, 1)
+            excise_fillings([mixed], 1)
 
     def test_stein_flag_only_after_excision(self):
         V = self.pipeline(2, GENUS2, 1)
         assert V.provenance[-1]["op"] == "excise_filling"
         assert V.stein_flag
 
+    def test_surgery_step_records_the_knot_name(self):
+        V = self.pipeline(2, GENUS2, 1)
+        assert V.provenance[-2] == {"op": "knot_surgery", "knot": GENUS2.name, "torus_null_homotopic": True}
+
     def test_det_flag_needs_positive_boundary_rank(self):
         # genus-0 pages give lens-space-like boundaries with finite H1: no det claim
         X2 = fiber_sum(make_X_g1(2), make_X_g1(2))
         squashed = dataclasses.replace(X2, fiber_genus=0)
-        V = excise_filling(squashed, 1)
+        [V] = excise_fillings([squashed], 1)
         assert V.det_intersection_form is None
-        assert "not determined" in V.det_justification
 
 
 class TestExciseFillings:
@@ -260,7 +260,7 @@ class TestExciseFillings:
     def test_equal_to_one_at_a_time_excision(self, double, k):
         records = self.surgered(double, k)
         for r in range(1, min(3, records[0].sections[0][1])):  # W_3(1) has two sections, so r = 1 only
-            assert excise_fillings(records, r) == [excise_filling(M, r) for M in records]
+            assert excise_fillings(records, r) == [excise_fillings([M], r)[0] for M in records]
 
     def test_empty_list_excises_nothing(self):
         assert excise_fillings([], 1) == []
@@ -308,25 +308,3 @@ class TestDistinguishers:
         with pytest.raises(ValueError):
             distinguisher_distinct([])
 
-
-class TestProvenance:
-    def test_replay_reproduces_closed_records(self):
-        X2 = fiber_sum(make_X_g1(2), make_X_g1(2))
-        M = knot_surgery(knot_surgery(X2, TREFOIL, alexander(TREFOIL)), FIGURE_EIGHT, alexander(FIGURE_EIGHT))
-        assert replay(M.provenance) == M
-
-    def test_replay_reproduces_fillings(self):
-        Wn = fiber_sum(make_W(1), make_W(1), twist=3)
-        V = excise_filling(knot_surgery(Wn, GENUS2, alexander(GENUS2)), 1)
-        assert replay(V.provenance) == V
-
-    def test_serialization_roundtrips_through_json(self):
-        Wn = fiber_sum(make_W(1), make_W(1), twist=3)
-        V = excise_filling(knot_surgery(Wn, GENUS2, alexander(GENUS2)), 1)
-        data = json.loads(V.to_json())
-        assert data["euler_char"] == V.euler_char
-        assert replay(data["provenance"]) == V
-
-    def test_unknown_op_rejected(self):
-        with pytest.raises(ValueError):
-            replay([{"op": "quux"}])
