@@ -57,6 +57,31 @@ def _parse_int(text, what: str) -> int:
     return int(s)
 
 
+class _Record:
+    """Value record whose fields are the ``__slots__`` along its MRO, base class first.
+
+    It equals a record of its own type with equal ``_value()`` (the field values,
+    unless a record narrows it), hashes that, and prints like a dataclass.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(f for c in reversed(cls.__mro__) for f in vars(c).get("__slots__", ()))
+
+    def _value(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        return self._value() == other._value() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._value())
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"
+
+
 class IntMatrix:
     """Immutable integer matrix, stored as each row's dict of nonzeros {column: value}.
 

@@ -15,10 +15,9 @@ only; this module never claims to decide fiberedness.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from math import isqrt
 
-from .exactmat import IntMatrix, _as_int, _dense_det
+from .exactmat import IntMatrix, _as_int, _dense_det, _Record
 
 
 class NonSymmetricPolynomial(ValueError):
@@ -188,15 +187,14 @@ class LaurentPoly:
         return f"LaurentPoly({self._coeffs})"
 
 
-@dataclass(frozen=True)
-class SeifertMatrixK:
+class SeifertMatrixK(_Record):
     """A knot's Seifert matrix: even size, det(V - V^T) = 1."""
 
-    name: str
-    matrix: IntMatrix
+    __slots__ = ("name", "matrix")
 
-    def __post_init__(self):
-        V = self.matrix
+    def __init__(self, name, matrix):
+        self.name = name
+        self.matrix = V = matrix
         if not V.is_square:
             raise ValueError("Seifert matrix must be square")
         if V.nrows % 2 != 0:
@@ -204,7 +202,7 @@ class SeifertMatrixK:
         if V.nrows > 0:
             rows = V.to_lists()
             if _dense_det([[a - b for a, b in zip(r, c)] for r, c in zip(rows, zip(*rows))]) != 1:
-                raise ValueError(f"{self.name}: det(V - V^T) != 1, not a knot Seifert pairing")
+                raise ValueError(f"{name}: det(V - V^T) != 1, not a knot Seifert pairing")
 
     @property
     def genus(self) -> int:
@@ -264,12 +262,11 @@ def alexander(V: SeifertMatrixK) -> LaurentPoly:
     return LaurentPoly(coeffs).normalized()
 
 
-@dataclass(frozen=True)
-class FiberednessCheck:
-    passes: bool
-    monic: bool
-    span_matches: bool
-    reasons: tuple
+class FiberednessCheck(_Record):
+    __slots__ = ("passes", "monic", "span_matches", "reasons")
+
+    def __init__(self, passes, monic, span_matches, reasons):
+        self.passes, self.monic, self.span_matches, self.reasons = passes, monic, span_matches, reasons
 
 
 def fibered_certificate(delta: LaurentPoly, genus: int) -> FiberednessCheck:
@@ -299,13 +296,13 @@ def substitute_t_squared(p: LaurentPoly) -> LaurentPoly:
     return p.substitute_power(2)
 
 
-@dataclass(frozen=True)
-class FamilyReport:
-    deltas: tuple  # each member's normalized Delta, in member order
-    genus_ok: bool
-    fibered_ok: bool
-    genus_failures: tuple
-    fibered_failures: tuple
+class FamilyReport(_Record):
+    __slots__ = ("deltas", "genus_ok", "fibered_ok", "genus_failures", "fibered_failures")
+
+    def __init__(self, deltas, genus_ok, fibered_ok, genus_failures, fibered_failures):
+        self.deltas = deltas  # each member's normalized Delta, in member order
+        self.genus_ok, self.fibered_ok = genus_ok, fibered_ok
+        self.genus_failures, self.fibered_failures = genus_failures, fibered_failures
 
 
 def family_report(family, k: int) -> FamilyReport:

@@ -25,18 +25,16 @@ Two twist catalogs are built in:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
-from .exactmat import IntMatrix, _as_int, _parse_int
+from .exactmat import IntMatrix, _as_int, _parse_int, _Record
 
 
-@dataclass(frozen=True)
-class SurfaceSpec:
-    genus: int
-    boundary_count: int = 0
+class SurfaceSpec(_Record):
+    __slots__ = ("genus", "boundary_count")
 
-    def __post_init__(self):
-        if self.genus < 0 or self.boundary_count < 0:
+    def __init__(self, genus, boundary_count=0):
+        self.genus, self.boundary_count = _as_int(genus, "genus"), _as_int(boundary_count, "boundary count")
+        if genus < 0 or boundary_count < 0:
             raise ValueError("genus and boundary count must be >= 0")
 
     @property
@@ -44,42 +42,39 @@ class SurfaceSpec:
         return 2 * self.genus + max(self.boundary_count - 1, 0)
 
 
-@dataclass(frozen=True)
-class Curve:
-    name: str
-    homology_class: tuple
+class Curve(_Record):
+    __slots__ = ("name", "homology_class")
 
-    def __post_init__(self):
-        what = f"curve {self.name!r}: coefficient"
-        coeffs = tuple(_as_int(x, what) for x in self.homology_class)
-        object.__setattr__(self, "homology_class", coeffs)
+    def __init__(self, name, homology_class):
+        self.name = name
+        self.homology_class = tuple(_as_int(x, f"curve {name!r}: coefficient") for x in homology_class)
 
 
-@dataclass(frozen=True)
-class TwistWord:
+class TwistWord(_Record):
     """Ordered (curve name, exponent) letters over a named curve table.
 
     ``curves`` may be None for counting-only words (no homology classes
     available); word_action then refuses to run.
     """
 
-    surface: SurfaceSpec
-    letters: tuple
-    curves: dict | None = field(default=None, compare=False)
+    __slots__ = ("surface", "letters", "curves")
 
-    def __post_init__(self):
-        letters = tuple((str(n), _as_int(e, f"letter {n!r}: exponent")) for n, e in self.letters)
-        object.__setattr__(self, "letters", letters)
-        if self.curves is not None:
+    def __init__(self, surface, letters, curves=None):
+        self.surface, self.curves = surface, curves
+        self.letters = tuple((str(n), _as_int(e, f"letter {n!r}: exponent")) for n, e in letters)
+        if curves is not None:
             for name, _ in self.letters:
-                if name not in self.curves:
+                if name not in curves:
                     raise ValueError(f"letter {name!r} missing from the curve table")
-            for c in self.curves.values():
-                if len(c.homology_class) != self.surface.h1_rank:
+            for c in curves.values():
+                if len(c.homology_class) != surface.h1_rank:
                     raise ValueError(
                         f"curve {c.name!r} class has length {len(c.homology_class)}; "
-                        f"surface needs {self.surface.h1_rank}"
+                        f"surface needs {surface.h1_rank}"
                     )
+
+    def _value(self) -> tuple:
+        return self.surface, self.letters  # the curve table is not part of the word's value
 
     @property
     def letter_count(self) -> int:
@@ -214,17 +209,15 @@ def lf_euler_characteristic(g: int, n: int) -> int:
 # -- homology of the blown-up rational surface --------------------------------
 
 
-@dataclass(frozen=True)
-class HomologyClassX:
+class HomologyClassX(_Record):
     """Class over the basis (h, e_1, ..., e_{4g+5}) with form diag(+1, -1, ..., -1)."""
 
-    g: int
-    coefficients: tuple
+    __slots__ = ("g", "coefficients")
 
-    def __post_init__(self):
-        coeffs = tuple(_as_int(x, "class coefficient") for x in self.coefficients)
-        object.__setattr__(self, "coefficients", coeffs)
-        if len(self.coefficients) != 4 * self.g + 6:
+    def __init__(self, g, coefficients):
+        self.g = _as_int(g, "g")
+        self.coefficients = tuple(_as_int(x, "class coefficient") for x in coefficients)
+        if len(self.coefficients) != 4 * g + 6:
             raise ValueError(
                 f"class needs {4 * self.g + 6} coefficients, got {len(self.coefficients)}"
             )

@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
 
-from .exactmat import IntMatrix, _as_int, is_negative_definite, smith_diagonal
+from .exactmat import IntMatrix, _as_int, _Record, is_negative_definite, smith_diagonal
 
 
 class MoveError(ValueError):
@@ -312,12 +311,11 @@ BLOW_UP_ON_EDGE = "blow_up_on_edge"
 BLOW_DOWN = "blow_down"
 
 
-@dataclass(frozen=True)
-class Move:
-    op: str
-    vertex: int | None = None
-    edge: tuple | None = None
-    sign: int = -1
+class Move(_Record):
+    __slots__ = ("op", "vertex", "edge", "sign")
+
+    def __init__(self, op, vertex=None, edge=None, sign=-1):
+        self.op, self.vertex, self.edge, self.sign = op, vertex, edge, sign
 
     def apply(self, G: PlumbingGraph) -> PlumbingGraph:
         if self.op == BLOW_UP_AT_VERTEX:

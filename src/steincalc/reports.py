@@ -11,13 +11,12 @@ those of nested subreports.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from . import bibliography
 from .bibliography import DERIVED
-from .exactmat import _as_int
+from .exactmat import _as_int, _Record
 from .knots import demo_family, family_report
 from .mcg import lf_euler_characteristic
 from .plumbing import (
@@ -93,13 +92,11 @@ def _write_json(x, nl: str, out: list) -> None:
         out.append(json.dumps(x))
 
 
-@dataclass(frozen=True)
-class Check:
-    name: str
-    expected: str
-    got: str
-    passed: bool
-    citation: str = DERIVED
+class Check(_Record):
+    __slots__ = ("name", "expected", "got", "passed", "citation")
+
+    def __init__(self, name, expected, got, passed, citation=DERIVED):
+        self.name, self.expected, self.got, self.passed, self.citation = name, expected, got, passed, citation
 
     def to_dict(self) -> dict:
         return {
@@ -111,23 +108,26 @@ class Check:
         }
 
 
-@dataclass(frozen=True)
-class Assumption:
-    text: str
-    citation: str
+class Assumption(_Record):
+    __slots__ = ("text", "citation")
+
+    def __init__(self, text, citation):
+        self.text, self.citation = text, citation
 
     def to_dict(self) -> dict:
         return {"text": self.text, "citation": self.citation}
 
 
-@dataclass
-class Report:
-    title: str
-    inputs: dict
-    invariants: dict = field(default_factory=dict)
-    checks: list = field(default_factory=list)
-    assumptions: list = field(default_factory=list)
-    subreports: list = field(default_factory=list)
+class Report(_Record):
+    __slots__ = ("title", "inputs", "invariants", "checks", "assumptions", "subreports")
+    __hash__ = None  # mutable: checks, assumptions and subreports are appended after construction
+
+    def __init__(self, title, inputs, invariants=None, checks=None, assumptions=None, subreports=None):
+        self.title, self.inputs = title, inputs
+        self.invariants = {} if invariants is None else invariants
+        self.checks = [] if checks is None else checks
+        self.assumptions = [] if assumptions is None else assumptions
+        self.subreports = [] if subreports is None else subreports
 
     def check(self, name, expected, got, citation=DERIVED):
         bibliography.resolve(citation)

@@ -21,10 +21,9 @@ routes stay independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactmat import IntMatrix, _as_int, smith_diagonal
+from .exactmat import IntMatrix, _as_int, _Record, smith_diagonal
 from .plumbing import PlumbingGraph
 
 
@@ -32,19 +31,17 @@ class AmbiguousCenterError(ValueError):
     """The star center cannot be inferred; pass it explicitly."""
 
 
-@dataclass(frozen=True)
-class SeifertData:
+class SeifertData(_Record):
     """Base genus, integer weight e0, and normalized (alpha, beta) leg pairs."""
 
-    base_genus: int
-    e0: int
-    legs: tuple
+    __slots__ = ("base_genus", "e0", "legs")
 
-    def __post_init__(self):
-        if self.base_genus < 0:
+    def __init__(self, base_genus, e0, legs):
+        self.base_genus, self.e0 = _as_int(base_genus, "base genus"), _as_int(e0, "e0")
+        if base_genus < 0:
             raise ValueError("base genus must be >= 0")
         # legs are an unordered multiset; store sorted so equality is presentation-free
-        object.__setattr__(self, "legs", tuple(sorted(tuple(l) for l in self.legs)))
+        self.legs = tuple(sorted((_as_int(a, "leg alpha"), _as_int(b, "leg beta")) for a, b in legs))
         for alpha, beta in self.legs:
             if alpha < 2 or not 0 < beta < alpha:
                 raise ValueError(f"leg ({alpha},{beta}) is not normalized: need 0 < beta < alpha")
@@ -63,22 +60,21 @@ class SeifertData:
         }
 
 
-@dataclass(frozen=True)
-class ContactFlags:
-    milnor_fillable: bool
-    unique_transverse_invariant_class: bool
+class ContactFlags(_Record):
+    __slots__ = ("milnor_fillable", "unique_transverse_invariant_class")
+
+    def __init__(self, milnor_fillable, unique_transverse_invariant_class):
+        self.milnor_fillable, self.unique_transverse_invariant_class = milnor_fillable, unique_transverse_invariant_class
 
 
-@dataclass(frozen=True)
-class OpenBookDesc:
+class OpenBookDesc(_Record):
     """Page genus, and boundary twist powers p_1..p_r (one per binding component)."""
 
-    page_genus: int
-    powers: tuple
+    __slots__ = ("page_genus", "powers")
 
-    def __post_init__(self):
-        _as_int(self.page_genus, "page genus")
-        object.__setattr__(self, "powers", tuple(_as_int(p, "twist power") for p in self.powers))
+    def __init__(self, page_genus, powers):
+        self.page_genus = _as_int(page_genus, "page genus")
+        self.powers = tuple(_as_int(p, "twist power") for p in powers)
         if self.page_genus < 0:
             raise ValueError("page genus must be >= 0")
         if len(self.powers) < 1:

@@ -19,10 +19,9 @@ surgery rules read.  Three honesty rules shape the module:
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
 
 from . import bibliography
-from .exactmat import _as_int
+from .exactmat import _as_int, _Record
 from .exactmat import signature as matrix_signature
 from .knots import LaurentPoly, SeifertMatrixK, substitute_t_squared
 from .plumbing import PlumbingGraph, intersection_matrix
@@ -34,17 +33,16 @@ PI1_PRODUCT_SURFACE = "product_surface"
 PI1_UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class Pi1Tag:
-    kind: str
-    param: int | None = None
-    citation: str | None = None
+class Pi1Tag(_Record):
+    __slots__ = ("kind", "param", "citation")
 
-    def __post_init__(self):
-        if self.kind not in (PI1_TRIVIAL, PI1_Z_PLUS_ZN, PI1_PRODUCT_SURFACE, PI1_UNKNOWN):
-            raise ValueError(f"unknown pi1 tag kind {self.kind!r}")
-        if self.citation is not None:
-            bibliography.resolve(self.citation)
+    def __init__(self, kind, param=None, citation=None):
+        if kind not in (PI1_TRIVIAL, PI1_Z_PLUS_ZN, PI1_PRODUCT_SURFACE, PI1_UNKNOWN):
+            raise ValueError(f"unknown pi1 tag kind {kind!r}")
+        if citation is not None:
+            bibliography.resolve(citation)
+        self.kind, self.citation = kind, citation
+        self.param = param if param is None else _as_int(param, "pi1 parameter")
 
     def describe(self) -> str:
         if self.kind == PI1_Z_PLUS_ZN:
@@ -54,24 +52,24 @@ class Pi1Tag:
         return self.kind
 
 
-@dataclass(frozen=True)
-class ManifoldRecord:
-    name: str
-    euler_char: int
-    signature: int
-    fiber_genus: int | None
-    sections: tuple  # ((square, count), ...)
-    pi1: Pi1Tag
-    sw_distinguisher: LaurentPoly
-    provenance: tuple = field(default=())
+class ManifoldRecord(_Record):
+    """A closed 4-manifold's invariants; ``sections`` is ((square, count), ...)."""
+
+    __slots__ = ("name", "euler_char", "signature", "fiber_genus", "sections", "pi1", "sw_distinguisher", "provenance")
+
+    def __init__(self, name, euler_char, signature, fiber_genus, sections, pi1, sw_distinguisher, provenance=()):
+        self.name, self.euler_char, self.signature, self.fiber_genus = name, euler_char, signature, fiber_genus
+        self.sections, self.pi1, self.sw_distinguisher, self.provenance = sections, pi1, sw_distinguisher, provenance
 
 
-@dataclass(frozen=True)
 class FillingRecord(ManifoldRecord):
-    boundary: SeifertData | None = None
-    stein_flag: bool = False
-    simply_connected: bool | None = None
-    det_intersection_form: int | None = None
+    __slots__ = ("boundary", "stein_flag", "simply_connected", "det_intersection_form")
+
+    def __init__(self, name, euler_char, signature, fiber_genus, sections, pi1, sw_distinguisher, provenance=(),
+                 boundary=None, stein_flag=False, simply_connected=None, det_intersection_form=None):
+        super().__init__(name, euler_char, signature, fiber_genus, sections, pi1, sw_distinguisher, provenance)
+        self.boundary, self.stein_flag = boundary, stein_flag
+        self.simply_connected, self.det_intersection_form = simply_connected, det_intersection_form
 
 
 def make_X_g1(g: int) -> ManifoldRecord:
@@ -197,18 +195,10 @@ def knot_surgery(
         raise ValueError("knot surgery needs the fiber-sum torus: no fiber_sum in provenance")
     multiplier = substitute_t_squared(delta)
     pi1 = M.pi1 if torus_null_homotopic else Pi1Tag(PI1_UNKNOWN)
-    step = {
-        "op": "knot_surgery",
-        "knot": K.name,
-        "torus_null_homotopic": torus_null_homotopic,
-    }
-    return replace(
-        M,
-        name=f"{M.name}_{K.name}",
-        fiber_genus=M.fiber_genus + 2 * K.genus,
-        pi1=pi1,
-        sw_distinguisher=(M.sw_distinguisher * multiplier).normalized(),
-        provenance=M.provenance + (step,),
+    step = {"op": "knot_surgery", "knot": K.name, "torus_null_homotopic": torus_null_homotopic}
+    return ManifoldRecord(
+        f"{M.name}_{K.name}", M.euler_char, M.signature, M.fiber_genus + 2 * K.genus, M.sections, pi1,
+        (M.sw_distinguisher * multiplier).normalized(), M.provenance + (step,),
     )
 
 
@@ -321,10 +311,11 @@ def excise_fillings(records, r: int) -> list:
     return [_filling(M, r, pieces[M.fiber_genus, p]) for M, p in zip(records, powers)]
 
 
-@dataclass(frozen=True)
-class DistinctnessReport:
-    pairs_total: int
-    collisions: tuple
+class DistinctnessReport(_Record):
+    __slots__ = ("pairs_total", "collisions")
+
+    def __init__(self, pairs_total, collisions):
+        self.pairs_total, self.collisions = pairs_total, collisions
 
     @property
     def all_distinct(self) -> bool:

@@ -255,6 +255,11 @@ class TestFiberClass:
         with pytest.raises(ValueError, match="not an integer"):
             HomologyClassX(1, (bad,) + (0,) * 9)
 
+    @pytest.mark.parametrize("bad", [1.0, True])
+    def test_non_integer_genus_rejected(self, bad):
+        with pytest.raises(ValueError, match="not an integer"):
+            HomologyClassX(bad, (0,) * 10)
+
 
 class TestSections:
     def test_counts(self):
@@ -320,6 +325,11 @@ class TestSurfaceSpec:
         assert SurfaceSpec(2, 0).h1_rank == 4
         assert SurfaceSpec(2, 1).h1_rank == 4
         assert SurfaceSpec(2, 3).h1_rank == 6
+
+    @pytest.mark.parametrize("genus, boundary_count", [(1.5, 0), (2.0, 0), (True, 0), (1, 1.0), (1, False), (1, None)])
+    def test_non_integer_rejected(self, genus, boundary_count):
+        with pytest.raises(ValueError, match="not an integer"):
+            SurfaceSpec(genus, boundary_count)
 
     def test_pairing_on_degenerate_part(self):
         S = SurfaceSpec(1, 3)

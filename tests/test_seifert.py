@@ -207,6 +207,22 @@ class TestSeifertDataValidation:
         with pytest.raises(ValueError):
             SeifertData(0, -1, ((1, 0),))
 
+    @pytest.mark.parametrize(
+        "base_genus, e0, legs",
+        [
+            (0.5, -1, ()),
+            (True, -1, ()),
+            (0, -1.0, ()),
+            (0, False, ()),
+            (0, -1, ((3, 1.5),)),
+            (0, -1, ((3.0, 1),)),
+            (0, -1, ((2, True),)),
+        ],
+    )
+    def test_non_integer_rejected(self, base_genus, e0, legs):
+        with pytest.raises(ValueError, match="not an integer"):
+            SeifertData(base_genus, e0, legs)
+
     def test_euler_number_recomputes(self):
         sd = SeifertData(2, -3, ((5, 2), (3, 1)))
         assert sd.euler_number == -3 + Fraction(2, 5) + Fraction(1, 3)

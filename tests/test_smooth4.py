@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -13,6 +12,8 @@ from steincalc.smooth4 import (
     PI1_TRIVIAL,
     PI1_UNKNOWN,
     PI1_Z_PLUS_ZN,
+    ManifoldRecord,
+    Pi1Tag,
     distinguisher_distinct,
     excise_fillings,
     fiber_sum,
@@ -46,6 +47,11 @@ class TestIntegerParameters:
     def test_non_integer_twist_rejected(self, bad):
         with pytest.raises(ValueError, match="not an integer"):
             fiber_sum(make_W(1), make_W(1), twist=bad)
+
+    @pytest.mark.parametrize("bad", [x for x in NON_INTEGERS if x is not None])  # None: no parameter
+    def test_non_integer_pi1_parameter_rejected(self, bad):
+        with pytest.raises(ValueError, match="not an integer"):
+            Pi1Tag(PI1_Z_PLUS_ZN, bad)
 
 
 class TestBaseRecords:
@@ -224,7 +230,9 @@ class TestExciseFilling:
 
     def test_mixed_section_squares_rejected(self):
         X2 = fiber_sum(make_X_g1(2), make_X_g1(2))
-        mixed = dataclasses.replace(X2, sections=((-2, 3), (-1, 3)))
+        mixed = ManifoldRecord(
+            X2.name, X2.euler_char, X2.signature, X2.fiber_genus, ((-2, 3), (-1, 3)), X2.pi1, X2.sw_distinguisher, X2.provenance
+        )
         with pytest.raises(ValueError, match="mixed"):
             excise_fillings([mixed], 1)
 
@@ -240,7 +248,9 @@ class TestExciseFilling:
     def test_det_flag_needs_positive_boundary_rank(self):
         # genus-0 pages give lens-space-like boundaries with finite H1: no det claim
         X2 = fiber_sum(make_X_g1(2), make_X_g1(2))
-        squashed = dataclasses.replace(X2, fiber_genus=0)
+        squashed = ManifoldRecord(
+            X2.name, X2.euler_char, X2.signature, 0, X2.sections, X2.pi1, X2.sw_distinguisher, X2.provenance
+        )
         [V] = excise_fillings([squashed], 1)
         assert V.det_intersection_form is None
 
@@ -268,14 +278,20 @@ class TestExciseFillings:
     @pytest.mark.parametrize("bad_at", [0, 2, 4])
     def test_mixed_section_squares_rejected_for_each_record(self, bad_at):
         records = self.surgered("X(2,2)", 2)
-        records[bad_at] = dataclasses.replace(records[bad_at], sections=((-2, 3), (-1, 3)))
+        M = records[bad_at]
+        records[bad_at] = ManifoldRecord(
+            M.name, M.euler_char, M.signature, M.fiber_genus, ((-2, 3), (-1, 3)), M.pi1, M.sw_distinguisher, M.provenance
+        )
         with pytest.raises(ValueError, match="mixed"):
             excise_fillings(records, 1)
 
     @pytest.mark.parametrize("bad_at", [0, 2, 4])
     def test_too_few_sections_rejected_for_each_record(self, bad_at):
         records = self.surgered("X(2,2)", 2)
-        records[bad_at] = dataclasses.replace(records[bad_at], sections=((-2, 2),))
+        M = records[bad_at]
+        records[bad_at] = ManifoldRecord(
+            M.name, M.euler_char, M.signature, M.fiber_genus, ((-2, 2),), M.pi1, M.sw_distinguisher, M.provenance
+        )
         with pytest.raises(ValueError, match="retained"):
             excise_fillings(records, 2)
         assert len(excise_fillings(records, 1)) == len(records)
