@@ -34,7 +34,6 @@ from .mcg import (
 from .plumbing import (
     MoveScript,
     PlumbingGraph,
-    blow_down,
     boundary_homology,
     grauert_check,
     intersection_matrix,

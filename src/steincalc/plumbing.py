@@ -30,14 +30,16 @@ class MoveError(ValueError):
 class PlumbingGraph:
     """Decorated tree: vertices (id, weight, genus) plus unordered edges.
 
-    Vertex insertion order is significant: it fixes the row order of the
-    intersection matrix.  Instances are immutable; moves return new graphs.
+    Three insertion-ordered dicts are the storage: ``_verts`` maps an id to
+    (weight, genus), ``_edges`` maps frozenset((a, b)) to (a, b), and
+    ``_adj`` maps an id to {neighbour: None} in edge order.  Vertex order
+    is significant: it fixes the row order of the intersection matrix.
+    Instances are immutable; ``MoveScript.replay`` edits a private copy.
     """
 
-    __slots__ = ("_order", "_verts", "_edges", "_edge_set", "_adj")
+    __slots__ = ("_verts", "_edges", "_adj")
 
     def __init__(self, vertices, edges):
-        order = []
         verts = {}
         for vid, weight, genus in vertices:
             vid = _as_int(vid, "vertex id")
@@ -47,11 +49,9 @@ class PlumbingGraph:
                 raise ValueError(f"duplicate vertex id {vid}")
             if genus < 0:
                 raise ValueError(f"vertex {vid}: genus must be >= 0")
-            order.append(vid)
             verts[vid] = (weight, genus)
-        edge_list = []
-        edge_set = set()
-        adj = {v: [] for v in order}  # filled in edge order, so neighbors keep it
+        edge_map = {}
+        adj = {v: {} for v in verts}  # filled in edge order, so neighbors keep it
         for a, b in edges:
             a, b = _as_int(a, "edge endpoint"), _as_int(b, "edge endpoint")
             if a == b:
@@ -59,27 +59,21 @@ class PlumbingGraph:
             if a not in verts or b not in verts:
                 raise ValueError(f"edge ({a},{b}) references a missing vertex")
             key = frozenset((a, b))
-            if key in edge_set:
+            if key in edge_map:
                 raise ValueError(f"multi-edge ({a},{b})")
-            edge_set.add(key)
-            edge_list.append((a, b))
-            adj[a].append(b)
-            adj[b].append(a)
-        self._order = tuple(order)
-        self._verts = verts
-        self._edges = tuple(edge_list)
-        self._edge_set = frozenset(edge_set)
-        self._adj = {v: tuple(us) for v, us in adj.items()}
+            edge_map[key] = (a, b)
+            adj[a][b] = adj[b][a] = None
+        self._verts, self._edges, self._adj = verts, edge_map, adj
         self._check_tree()
 
     def _check_tree(self):
-        n = len(self._order)
+        n = len(self._verts)
         if n == 0:
             raise ValueError("empty graph")
         if len(self._edges) != n - 1:
             raise ValueError("not a tree: edge count != vertex count - 1")
-        seen = {self._order[0]}
-        frontier = [self._order[0]]
+        frontier = [next(iter(self._verts))]
+        seen = set(frontier)
         while frontier:
             v = frontier.pop()
             for u in self._adj[v]:
@@ -89,15 +83,22 @@ class PlumbingGraph:
         if len(seen) != n:
             raise ValueError("not a tree: graph is disconnected")
 
+    def _copy(self) -> "PlumbingGraph":
+        G = PlumbingGraph.__new__(PlumbingGraph)
+        G._verts = dict(self._verts)
+        G._edges = dict(self._edges)
+        G._adj = {v: dict(us) for v, us in self._adj.items()}
+        return G
+
     # -- accessors ---------------------------------------------------------
 
     @property
     def vertex_ids(self) -> tuple:
-        return self._order
+        return tuple(self._verts)
 
     @property
     def edges(self) -> tuple:
-        return self._edges
+        return tuple(self._edges.values())
 
     def weight(self, v: int) -> int:
         return self._verts[v][0]
@@ -106,41 +107,41 @@ class PlumbingGraph:
         return self._verts[v][1]
 
     def has_edge(self, a: int, b: int) -> bool:
-        return frozenset((a, b)) in self._edge_set
+        return frozenset((a, b)) in self._edges
 
     def degree(self, v: int) -> int:
         return len(self._adj.get(v, ()))
 
     def neighbors(self, v: int) -> tuple:
         """Neighbours of v in the order of the edge list."""
-        return self._adj.get(v, ())
+        return tuple(self._adj.get(v, ()))
 
     def total_genus(self) -> int:
         return sum(g for (_, g) in self._verts.values())
 
     def vertices(self) -> tuple:
-        return tuple((v, *self._verts[v]) for v in self._order)
+        return tuple((v, w, g) for v, (w, g) in self._verts.items())
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, PlumbingGraph)
             and self.vertices() == other.vertices()
-            and self._edge_set == other._edge_set
+            and self._edges.keys() == other._edges.keys()
         )
 
     def __hash__(self):
-        return hash((self.vertices(), self._edge_set))
+        return hash((self.vertices(), frozenset(self._edges)))
 
     def __repr__(self):
         vs = ", ".join(f"{v}:({w},{g})" for v, w, g in self.vertices())
-        return f"PlumbingGraph({vs}; edges={list(self._edges)})"
+        return f"PlumbingGraph({vs}; edges={list(self.edges)})"
 
     # -- JSON --------------------------------------------------------------
 
     def to_dict(self) -> dict:
         return {
             "vertices": [{"id": v, "weight": w, "genus": g} for v, w, g in self.vertices()],
-            "edges": [[a, b] for a, b in self._edges],
+            "edges": [[a, b] for a, b in self._edges.values()],
         }
 
     @classmethod
@@ -215,75 +216,14 @@ def intersection_matrix(G: PlumbingGraph) -> IntMatrix:
     row's dict lists its columns in ascending order, the order in which
     the kernels' pivot tie-breaks read them.
     """
-    idx = {v: i for i, v in enumerate(G.vertex_ids)}
+    idx = {v: i for i, v in enumerate(G._verts)}
     rows = [{} for _ in idx]
-    for i, v in enumerate(G.vertex_ids):
-        if G.weight(v):
-            rows[i][i] = G.weight(v)
-        for u in G.neighbors(v):
+    for i, (v, (w, _)) in enumerate(G._verts.items()):
+        if w:
+            rows[i][i] = w
+        for u in G._adj[v]:
             rows[idx[u]][i] = 1
     return IntMatrix._from_nonzeros(rows, len(idx))
-
-
-def _fresh_id(G: PlumbingGraph) -> int:
-    return max(G.vertex_ids) + 1
-
-
-def blow_up_at_vertex(G: PlumbingGraph, v: int, sign: int = -1) -> PlumbingGraph:
-    """Attach a new (sign)-leaf at v; the weight of v changes by sign."""
-    if sign not in (-1, 1):
-        raise MoveError("blow-up sign must be +1 or -1")
-    if v not in G.vertex_ids:
-        raise MoveError(f"no vertex {v}")
-    nid = _fresh_id(G)
-    verts = [(u, w + (sign if u == v else 0), g) for u, w, g in G.vertices()]
-    verts.append((nid, sign, 0))
-    return PlumbingGraph(verts, list(G.edges) + [(v, nid)])
-
-
-def blow_up_on_edge(G: PlumbingGraph, a: int, b: int, sign: int = -1) -> PlumbingGraph:
-    """Insert a (sign)-vertex on the edge (a, b); both endpoint weights change by sign."""
-    if sign not in (-1, 1):
-        raise MoveError("blow-up sign must be +1 or -1")
-    if not G.has_edge(a, b):
-        raise MoveError(f"no edge ({a},{b})")
-    nid = _fresh_id(G)
-    verts = [(u, w + (sign if u in (a, b) else 0), g) for u, w, g in G.vertices()]
-    verts.append((nid, sign, 0))
-    edges = [(x, y) for x, y in G.edges if frozenset((x, y)) != frozenset((a, b))]
-    edges += [(a, nid), (nid, b)]
-    return PlumbingGraph(verts, edges)
-
-
-def blow_down(G: PlumbingGraph, v: int) -> PlumbingGraph:
-    """Remove a (+-1)-vertex of genus 0 and degree <= 2.
-
-    Degree 0: delete.  Degree 1: delete, neighbor weight -= sign.
-    Degree 2: delete, join the neighbors, both weights -= sign.
-    """
-    if v not in G.vertex_ids:
-        raise MoveError(f"no vertex {v}")
-    w = G.weight(v)
-    if w not in (-1, 1):
-        raise MoveError(f"vertex {v} has weight {w}; blow-down needs weight +1 or -1")
-    if G.genus(v) != 0:
-        raise MoveError(f"vertex {v} has positive genus")
-    nbrs = G.neighbors(v)
-    if len(nbrs) > 2:
-        raise MoveError(f"vertex {v} has degree {len(nbrs)} > 2")
-    if len(G.vertex_ids) == 1:
-        raise MoveError("cannot blow down the last vertex")
-    if len(nbrs) == 2:
-        a, b = nbrs
-        if a == b:
-            raise MoveError("blow-down would create a loop")
-        if G.has_edge(a, b):
-            raise MoveError("blow-down would create a multi-edge")
-    verts = [(u, wt - (w if u in nbrs else 0), g) for u, wt, g in G.vertices() if u != v]
-    edges = [(x, y) for x, y in G.edges if v not in (x, y)]
-    if len(nbrs) == 2:
-        edges.append(tuple(nbrs))
-    return PlumbingGraph(verts, edges)
 
 
 def boundary_homology(G: PlumbingGraph):
@@ -311,20 +251,77 @@ BLOW_UP_ON_EDGE = "blow_up_on_edge"
 BLOW_DOWN = "blow_down"
 
 
+_ABSENT = object()  # a field a move does not give; a file's null is no such field
+_MOVE_SHAPE = "a move is {'op': ..., 'vertex': id | 'edge': [a, b], 'sign': +-1}"
+
+
 class Move(_Record):
+    """One blow-up or blow-down.  The fields are checked here; the op and the
+    sign's value are checked on replay, where the move index is known."""
+
     __slots__ = ("op", "vertex", "edge", "sign")
 
-    def __init__(self, op, vertex=None, edge=None, sign=-1):
-        self.op, self.vertex, self.edge, self.sign = op, vertex, edge, sign
+    def __init__(self, op, vertex=_ABSENT, edge=_ABSENT, sign=-1):
+        if edge is not _ABSENT or op == BLOW_UP_ON_EDGE:
+            if type(edge) not in (list, tuple) or len(edge) != 2:
+                raise ValueError(_MOVE_SHAPE)
+            edge = tuple(_as_int(v, "move edge endpoint") for v in edge)
+        self.op = op
+        self.vertex = None if vertex is _ABSENT else _as_int(vertex, "move vertex")
+        self.edge = None if edge is _ABSENT else edge
+        self.sign = _as_int(sign, "move sign")
 
-    def apply(self, G: PlumbingGraph) -> PlumbingGraph:
-        if self.op == BLOW_UP_AT_VERTEX:
-            return blow_up_at_vertex(G, self.vertex, self.sign)
-        if self.op == BLOW_UP_ON_EDGE:
-            return blow_up_on_edge(G, self.edge[0], self.edge[1], self.sign)
+    def _edit(self, G: PlumbingGraph) -> None:
+        """Apply the move to G's dicts in place, in the order a rebuild would give.
+
+        Blow-ups take the fresh id max + 1.  A blow-down joins the two
+        neighbours of a degree-2 vertex; on a tree they share no edge.
+        """
+        verts, edges, adj = G._verts, G._edges, G._adj
         if self.op == BLOW_DOWN:
-            return blow_down(G, self.vertex)
-        raise MoveError(f"unknown move op {self.op!r}")
+            v = self.vertex
+            if v not in verts:
+                raise MoveError(f"no vertex {v}")
+            w, g = verts[v]
+            if w not in (-1, 1):
+                raise MoveError(f"vertex {v} has weight {w}; blow-down needs weight +1 or -1")
+            if g != 0:
+                raise MoveError(f"vertex {v} has positive genus")
+            if len(adj[v]) > 2:
+                raise MoveError(f"vertex {v} has degree {len(adj[v])} > 2")
+            if len(verts) == 1:
+                raise MoveError("cannot blow down the last vertex")
+            del verts[v]
+            ends, shift = tuple(adj.pop(v)), -w
+            for u in ends:
+                del edges[frozenset((v, u))], adj[u][v]
+            joins = (ends,) if len(ends) == 2 else ()
+        elif self.op in (BLOW_UP_AT_VERTEX, BLOW_UP_ON_EDGE):
+            shift = self.sign
+            if shift not in (-1, 1):
+                raise MoveError("blow-up sign must be +1 or -1")
+            nid = max(verts) + 1
+            if self.op == BLOW_UP_AT_VERTEX:
+                v = self.vertex
+                if v not in verts:
+                    raise MoveError(f"no vertex {v}")
+                ends, joins = (v,), ((v, nid),)
+            else:
+                a, b = ends = self.edge
+                if frozenset(ends) not in edges:
+                    raise MoveError(f"no edge ({a},{b})")
+                del edges[frozenset(ends)], adj[a][b], adj[b][a]
+                joins = ((a, nid), (nid, b))
+            verts[nid] = (shift, 0)
+            adj[nid] = {}
+        else:
+            raise MoveError(f"unknown move op {self.op!r}")
+        for u in ends:
+            uw, ug = verts[u]
+            verts[u] = (uw + shift, ug)
+        for a, b in joins:
+            edges[frozenset((a, b))] = (a, b)
+            adj[a][b] = adj[b][a] = None
 
     def to_dict(self) -> dict:
         d = {"op": self.op}
@@ -338,17 +335,9 @@ class Move(_Record):
 
     @classmethod
     def from_dict(cls, d: dict) -> "Move":
-        shape = "a move is {'op': ..., 'vertex': id | 'edge': [a, b], 'sign': +-1}"
         if not isinstance(d, dict) or "op" not in d:
-            raise ValueError(shape)
-        edge = d.get("edge")
-        if "edge" in d or d["op"] == BLOW_UP_ON_EDGE:
-            if not isinstance(edge, list) or len(edge) != 2:
-                raise ValueError(shape)
-            edge = tuple(_as_int(v, "move edge endpoint") for v in edge)
-        vertex = _as_int(d["vertex"], "move vertex") if "vertex" in d else None
-        sign = _as_int(d.get("sign", -1), "move sign")
-        return cls(op=d["op"], vertex=vertex, edge=edge, sign=sign)
+            raise ValueError(_MOVE_SHAPE)
+        return cls(**{k: d[k] for k in ("op", "vertex", "edge", "sign") if k in d})
 
 
 class MoveScript:
@@ -358,9 +347,11 @@ class MoveScript:
         self.moves = tuple(moves)
 
     def replay(self, G: PlumbingGraph) -> PlumbingGraph:
+        """The graph after every move, built by editing one copy of G in place."""
+        G = G._copy()
         for k, move in enumerate(self.moves):
             try:
-                G = move.apply(G)
+                move._edit(G)
             except MoveError as exc:
                 raise MoveError(f"move {k} ({move.op}) failed: {exc}") from exc
         return G

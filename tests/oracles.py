@@ -6,8 +6,9 @@ leaf pruning on trees (inertia and determinant) instead of symmetric
 elimination, Laplace expansion instead of Kronecker substitution for
 polynomial determinants, dense transvection products instead of sparse
 column updates for twist words, a dense n x n build instead of the sparse
-one for intersection matrices.  The dense matrix builders and products
-that the library does not need live here too.
+one for intersection matrices, a whole rebuild per plumbing move instead
+of in-place edits.  The dense matrix builders and products that the
+library does not need live here too.
 """
 
 import random
@@ -17,7 +18,7 @@ from functools import reduce
 from steincalc.exactmat import IntMatrix
 from steincalc.knots import LaurentPoly, SeifertMatrixK
 from steincalc.mcg import SurfaceSpec, TwistWord
-from steincalc.plumbing import PlumbingGraph
+from steincalc.plumbing import BLOW_DOWN, BLOW_UP_AT_VERTEX, BLOW_UP_ON_EDGE, MoveError, PlumbingGraph
 
 
 def zeros(nrows: int, ncols: int) -> IntMatrix:
@@ -59,6 +60,70 @@ def dense_intersection_matrix(G: PlumbingGraph) -> list:
 def reverse_orientation(G: PlumbingGraph) -> PlumbingGraph:
     """Negate all weights; genera and edges are untouched."""
     return PlumbingGraph([(v, -w, g) for v, w, g in G.vertices()], G.edges)
+
+
+def blow_up_at_vertex(G: PlumbingGraph, v: int, sign: int = -1) -> PlumbingGraph:
+    """Attach a new (sign)-leaf at v; the weight of v changes by sign."""
+    if sign not in (-1, 1):
+        raise MoveError("blow-up sign must be +1 or -1")
+    if v not in G.vertex_ids:
+        raise MoveError(f"no vertex {v}")
+    nid = max(G.vertex_ids) + 1
+    verts = [(u, w + (sign if u == v else 0), g) for u, w, g in G.vertices()]
+    verts.append((nid, sign, 0))
+    return PlumbingGraph(verts, list(G.edges) + [(v, nid)])
+
+
+def blow_up_on_edge(G: PlumbingGraph, a: int, b: int, sign: int = -1) -> PlumbingGraph:
+    """Insert a (sign)-vertex on the edge (a, b); both endpoint weights change by sign."""
+    if sign not in (-1, 1):
+        raise MoveError("blow-up sign must be +1 or -1")
+    if not G.has_edge(a, b):
+        raise MoveError(f"no edge ({a},{b})")
+    nid = max(G.vertex_ids) + 1
+    verts = [(u, w + (sign if u in (a, b) else 0), g) for u, w, g in G.vertices()]
+    verts.append((nid, sign, 0))
+    edges = [(x, y) for x, y in G.edges if frozenset((x, y)) != frozenset((a, b))]
+    edges += [(a, nid), (nid, b)]
+    return PlumbingGraph(verts, edges)
+
+
+def blow_down(G: PlumbingGraph, v: int) -> PlumbingGraph:
+    """Remove a (+-1)-vertex of genus 0 and degree <= 2, joining its two neighbours."""
+    if v not in G.vertex_ids:
+        raise MoveError(f"no vertex {v}")
+    w = G.weight(v)
+    if w not in (-1, 1):
+        raise MoveError(f"vertex {v} has weight {w}; blow-down needs weight +1 or -1")
+    if G.genus(v) != 0:
+        raise MoveError(f"vertex {v} has positive genus")
+    nbrs = G.neighbors(v)
+    if len(nbrs) > 2:
+        raise MoveError(f"vertex {v} has degree {len(nbrs)} > 2")
+    if len(G.vertex_ids) == 1:
+        raise MoveError("cannot blow down the last vertex")
+    verts = [(u, wt - (w if u in nbrs else 0), g) for u, wt, g in G.vertices() if u != v]
+    edges = [(x, y) for x, y in G.edges if v not in (x, y)]
+    if len(nbrs) == 2:
+        edges.append(tuple(nbrs))
+    return PlumbingGraph(verts, edges)
+
+
+def rebuild_replay(G: PlumbingGraph, moves) -> PlumbingGraph:
+    """Replay by building and checking a whole new graph for every move."""
+    for k, m in enumerate(moves):
+        try:
+            if m.op == BLOW_UP_AT_VERTEX:
+                G = blow_up_at_vertex(G, m.vertex, m.sign)
+            elif m.op == BLOW_UP_ON_EDGE:
+                G = blow_up_on_edge(G, m.edge[0], m.edge[1], m.sign)
+            elif m.op == BLOW_DOWN:
+                G = blow_down(G, m.vertex)
+            else:
+                raise MoveError(f"unknown move op {m.op!r}")
+        except MoveError as exc:
+            raise MoveError(f"move {k} ({m.op}) failed: {exc}") from exc
+    return G
 
 
 def cofactor_det(rows) -> int:

@@ -34,9 +34,11 @@ from steincalc.mcg import (
     word_action,
 )
 from steincalc.plumbing import (
-    blow_down,
-    blow_up_at_vertex,
-    blow_up_on_edge,
+    BLOW_DOWN,
+    BLOW_UP_AT_VERTEX,
+    BLOW_UP_ON_EDGE,
+    Move,
+    MoveScript,
     boundary_homology,
     grauert_check,
     intersection_matrix,
@@ -51,6 +53,10 @@ from steincalc.seifert import (
     star_to_seifert,
 )
 from steincalc.smooth4 import fiber_sum, knot_surgery, make_X_g1
+
+
+def move(G, op, **fields):
+    return MoveScript([Move(op, **fields)]).replay(G)
 
 
 @contextmanager
@@ -156,12 +162,11 @@ def test_criterion_5_move_invariance_suite():
                 options += ["down", "down"]
             kind = rng.choice(options)
             if kind == "up_vertex":
-                G, shift = blow_up_at_vertex(G, rng.choice(G.vertex_ids)), -1
+                G, shift = move(G, BLOW_UP_AT_VERTEX, vertex=rng.choice(G.vertex_ids)), -1
             elif kind == "up_edge":
-                a, b = rng.choice(G.edges)
-                G, shift = blow_up_on_edge(G, a, b), -1
+                G, shift = move(G, BLOW_UP_ON_EDGE, edge=rng.choice(G.edges)), -1
             else:
-                G, shift = blow_down(G, rng.choice(downs)), +1
+                G, shift = move(G, BLOW_DOWN, vertex=rng.choice(downs)), +1
             M1 = intersection_matrix(G)
             assert boundary_homology(G) == hom
             assert abs(determinant(M1)) == abs(det0)

@@ -1,8 +1,14 @@
+import io
 import json
 import random
+import tempfile
 import time
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import resolution_tree, tree_det
 
 from steincalc.cli import main
@@ -87,6 +93,38 @@ class TestPlumbCommands:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+# JSON fields for the fuzz: small ints, which are often valid, or anything else JSON holds
+JUNK = st.recursive(st.none() | st.booleans() | st.floats() | st.text(max_size=2), st.lists, max_leaves=3)
+FIELD = st.integers(-1, 4) | st.integers() | JUNK
+PAIR = st.lists(FIELD, min_size=2, max_size=2)
+VERTEX = st.fixed_dictionaries({"id": FIELD, "weight": FIELD}, optional={"genus": FIELD})
+GRAPHS = st.sampled_from([star_graph_left(0, (1, 2, 1)).to_dict(), star_graph_right(0, (2, 2)).to_dict()]) | st.fixed_dictionaries(
+    {"vertices": st.lists(VERTEX, max_size=3), "edges": st.lists(PAIR, max_size=2)}
+) | JUNK
+OPS = st.sampled_from(["blow_up_at_vertex", "blow_up_on_edge", "blow_down"])
+MOVES = st.fixed_dictionaries({"op": OPS}, optional={"vertex": FIELD, "edge": PAIR, "sign": FIELD}) | JUNK | st.dictionaries(
+    st.sampled_from(["op", "vertex", "edge", "sign"]), JUNK
+)
+SCRIPTS = st.lists(MOVES, max_size=3) | JUNK
+
+
+@settings(max_examples=80, deadline=None)
+@given(graph=GRAPHS, script=SCRIPTS)
+def test_fuzzed_plumb_moves_exit_cleanly(graph, script):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp, "g.json"), Path(tmp, "s.json")]
+        for path, data in zip(paths, (graph, script)):
+            path.write_text(json.dumps(data))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["plumb", "moves", *map(str, paths)])
+    if code == 0:
+        assert json.loads(out.getvalue())["moves_applied"] == len(script) and err.getvalue() == ""
+    else:
+        assert code == 2 and out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 @pytest.mark.parametrize(

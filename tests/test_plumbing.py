@@ -1,17 +1,24 @@
 import random
 
 import pytest
-from oracles import cofactor_det, dense_intersection_matrix, random_tree, resolution_tree, reverse_orientation
+from oracles import (
+    cofactor_det,
+    dense_intersection_matrix,
+    random_tree,
+    rebuild_replay,
+    resolution_tree,
+    reverse_orientation,
+)
 
 from steincalc.exactmat import IntMatrix, determinant, signature
 from steincalc.plumbing import (
+    BLOW_DOWN,
+    BLOW_UP_AT_VERTEX,
+    BLOW_UP_ON_EDGE,
     Move,
     MoveError,
     MoveScript,
     PlumbingGraph,
-    blow_down,
-    blow_up_at_vertex,
-    blow_up_on_edge,
     boundary_homology,
     grauert_check,
     intersection_matrix,
@@ -20,6 +27,10 @@ from steincalc.plumbing import (
     star_graph_right,
 )
 from steincalc.seifert import star_to_seifert
+
+
+def move(G, op, **fields):
+    return MoveScript([Move(op, **fields)]).replay(G)
 
 
 class TestConstruction:
@@ -179,7 +190,7 @@ class TestAdjacency:
 class TestMoves:
     def test_blow_down_leaf(self):
         G = PlumbingGraph([(0, -3, 0), (1, -1, 0)], [(0, 1)])
-        H = blow_down(G, 1)
+        H = move(G, BLOW_DOWN, vertex=1)
         assert H.vertices() == ((0, -2, 0),)
 
     def test_blow_up_then_down_restores(self):
@@ -187,41 +198,33 @@ class TestMoves:
         for _ in range(30):
             G = random_tree(rng, rng.randint(1, 6))
             v = rng.choice(G.vertex_ids)
-            H = blow_up_at_vertex(G, v)
+            H = move(G, BLOW_UP_AT_VERTEX, vertex=v)
             new = max(H.vertex_ids)
-            assert blow_down(H, new) == G
+            assert move(H, BLOW_DOWN, vertex=new) == G
             if G.edges:
-                a, b = rng.choice(G.edges)
-                H = blow_up_on_edge(G, a, b)
-                assert blow_down(H, max(H.vertex_ids)) == G
+                H = move(G, BLOW_UP_ON_EDGE, edge=rng.choice(G.edges))
+                assert move(H, BLOW_DOWN, vertex=max(H.vertex_ids)) == G
 
     def test_det_flips_sign_under_blow_up(self):
         rng = random.Random(77)
         for _ in range(40):
             G = random_tree(rng, rng.randint(1, 6))
             d0 = cofactor_det(intersection_matrix(G).to_lists())
-            H = blow_up_at_vertex(G, rng.choice(G.vertex_ids))
+            H = move(G, BLOW_UP_AT_VERTEX, vertex=rng.choice(G.vertex_ids))
             assert cofactor_det(intersection_matrix(H).to_lists()) == -d0
             if G.edges:
-                a, b = rng.choice(G.edges)
-                H = blow_up_on_edge(G, a, b)
+                H = move(G, BLOW_UP_ON_EDGE, edge=rng.choice(G.edges))
                 assert cofactor_det(intersection_matrix(H).to_lists()) == -d0
-
-    def test_dispatcher(self):
-        G = star_graph_left(0, (1, 2))  # leaf 1 has weight +1
-        assert Move(op="blow_up_at_vertex", vertex=0).apply(G) == blow_up_at_vertex(G, 0)
-        assert Move(op="blow_up_on_edge", edge=(0, 1)).apply(G) == blow_up_on_edge(G, 0, 1)
-        assert Move(op="blow_down", vertex=1).apply(G) == blow_down(G, 1)
 
     def test_blow_down_rejects_wrong_weight(self):
         G = PlumbingGraph([(0, -3, 0), (1, -2, 0)], [(0, 1)])
         with pytest.raises(MoveError):
-            blow_down(G, 1)
+            move(G, BLOW_DOWN, vertex=1)
 
     def test_blow_down_rejects_positive_genus(self):
         G = PlumbingGraph([(0, -3, 0), (1, -1, 1)], [(0, 1)])
         with pytest.raises(MoveError):
-            blow_down(G, 1)
+            move(G, BLOW_DOWN, vertex=1)
 
     def test_blow_down_rejects_high_degree(self):
         G = PlumbingGraph(
@@ -229,11 +232,11 @@ class TestMoves:
             [(0, 1), (0, 2), (0, 3)],
         )
         with pytest.raises(MoveError):
-            blow_down(G, 0)
+            move(G, BLOW_DOWN, vertex=0)
 
     def test_blow_down_last_vertex_rejected(self):
         with pytest.raises(MoveError):
-            blow_down(PlumbingGraph([(0, -1, 0)], []), 0)
+            move(PlumbingGraph([(0, -1, 0)], []), BLOW_DOWN, vertex=0)
 
 
 class TestMoveScript:
@@ -259,6 +262,67 @@ class TestMoveScript:
         with pytest.raises(MoveError, match="move 0"):
             script.replay(G)
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (dict(op=BLOW_DOWN, vertex=1.0), "move vertex 1.0 is not an integer"),
+            (dict(op=BLOW_DOWN, vertex=True), "move vertex True is not an integer"),
+            (dict(op=BLOW_UP_AT_VERTEX, vertex=1.0), "move vertex 1.0 is not an integer"),
+            (dict(op=BLOW_UP_AT_VERTEX, vertex=0, sign=True), "move sign True is not an integer"),
+            (dict(op=BLOW_UP_ON_EDGE), "a move is"),
+            (dict(op=BLOW_UP_ON_EDGE, edge=(0, 1, 2)), "a move is"),
+            (dict(op=BLOW_UP_ON_EDGE, edge=(0, 1.0)), "move edge endpoint 1.0 is not an integer"),
+        ],
+    )
+    def test_move_checks_its_fields(self, fields, message):
+        # each of these once built a Move that replay ran, or failed with a TypeError
+        with pytest.raises(ValueError, match=message):
+            Move(**fields)
+
+    def test_replay_against_rebuild_oracle(self):
+        rng = random.Random(4)
+        for _ in range(400):
+            G = random_tree(rng, rng.randint(1, 12), weight_bound=1, max_genus=1)
+            H, moves = G, []
+            for _ in range(rng.randint(1, 20)):  # grow the script along the oracle, up to its first invalid move
+                ids = H.vertex_ids + (max(H.vertex_ids) + 1,)
+                downs = [v for v in H.vertex_ids if H.weight(v) in (-1, 1) and H.genus(v) == 0 and H.degree(v) <= 2]
+                op = rng.choice([BLOW_UP_AT_VERTEX, BLOW_UP_ON_EDGE, BLOW_DOWN]) if rng.random() < 0.98 else "twist"
+                sign = rng.choice([-1, 1]) if rng.random() < 0.98 else rng.choice([0, 2])
+                if op == BLOW_UP_ON_EDGE:
+                    a, b = rng.choice(H.edges) if H.edges and rng.random() < 0.95 else rng.choices(ids, k=2)
+                    moves.append(Move(op, edge=rng.choice([(a, b), (b, a)]), sign=sign))
+                else:
+                    pool = downs if op == BLOW_DOWN and downs and rng.random() < 0.95 else ids
+                    moves.append(Move(op, vertex=rng.choice(pool), sign=sign))
+                try:
+                    H = rebuild_replay(H, moves[-1:])
+                except MoveError:
+                    break
+            script = MoveScript(moves)
+            try:
+                want = rebuild_replay(G, moves)
+            except MoveError as exc:
+                with pytest.raises(MoveError) as got:
+                    script.replay(G)
+                assert str(got.value) == str(exc)
+                continue
+            got = script.replay(G)
+            assert got.vertices() == want.vertices() and got.edges == want.edges
+            assert all(got.neighbors(v) == want.neighbors(v) for v in want.vertex_ids)
+
+    def test_replay_edits_one_copy(self, monkeypatch):
+        # a whole graph build and tree check per move once made figure1 quadratic in the fibers
+        ps = tuple(2 + i * 5 % 8 for i in range(200))
+        left, script = star_graph_left(1, ps), positive_star_reduction(1, ps)
+        before = (left.vertices(), left.edges, [left.neighbors(v) for v in left.vertex_ids])
+        checks = []
+        monkeypatch.setattr(PlumbingGraph, "_check_tree", lambda self: checks.append(1))
+        reduced = script.replay(left)
+        assert len(script) == 1100 and checks == []
+        assert (left.vertices(), left.edges, [left.neighbors(v) for v in left.vertex_ids]) == before
+        assert len(reduced.vertex_ids) == 1 + sum(p - 1 for p in ps)
+
 
 def random_valid_move(rng, G):
     """Pick among sign=-1 blow-ups anywhere and blow-downs of (-1)-vertices."""
@@ -274,11 +338,10 @@ def random_valid_move(rng, G):
         choices += ["down", "down"]
     kind = rng.choice(choices)
     if kind == "up_vertex":
-        return blow_up_at_vertex(G, rng.choice(G.vertex_ids)), -1
+        return move(G, BLOW_UP_AT_VERTEX, vertex=rng.choice(G.vertex_ids)), -1
     if kind == "up_edge":
-        a, b = rng.choice(G.edges)
-        return blow_up_on_edge(G, a, b), -1
-    return blow_down(G, rng.choice(downs)), +1
+        return move(G, BLOW_UP_ON_EDGE, edge=rng.choice(G.edges)), -1
+    return move(G, BLOW_DOWN, vertex=rng.choice(downs)), +1
 
 
 class TestMoveInvariance:
@@ -305,11 +368,11 @@ class TestMoveInvariance:
         for _ in range(40):
             G = random_tree(rng, rng.randint(1, 6))
             hom = boundary_homology(G)
-            H = blow_up_at_vertex(G, rng.choice(G.vertex_ids), sign=1)
+            H = move(G, BLOW_UP_AT_VERTEX, vertex=rng.choice(G.vertex_ids), sign=1)
             assert boundary_homology(H) == hom
             assert signature(intersection_matrix(H)) == signature(intersection_matrix(G)) + 1
             new = max(H.vertex_ids)
-            assert blow_down(H, new) == G
+            assert move(H, BLOW_DOWN, vertex=new) == G
 
 
 class TestBoundaryHomology:
