@@ -23,12 +23,9 @@ from .mcg import (
     Curve,
     SurfaceSpec,
     TwistWord,
-    fiber_class,
     hyperelliptic_word,
     korkmaz_word,
     lf_euler_characteristic,
-    pair,
-    section_count,
     word_action,
 )
 from .plumbing import (

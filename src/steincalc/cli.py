@@ -120,7 +120,7 @@ def _cmd_mcg_action(args) -> int:
 
 def _cmd_lf_chi(args) -> int:
     if args.catalog == "hyperelliptic":
-        word = mcg.hyperelliptic_word(args.param, curves=None)
+        word = mcg.hyperelliptic_word(args.param)
         blowup_chi = smooth4.make_X_g1(args.param).euler_char
     else:
         word = mcg.korkmaz_word(args.param)

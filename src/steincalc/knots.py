@@ -52,16 +52,8 @@ class LaurentPoly:
         return p
 
     @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls()
-
-    @classmethod
     def one(cls) -> "LaurentPoly":
         return cls({0: 1})
-
-    @classmethod
-    def monomial(cls, coeff: int, exp: int = 0) -> "LaurentPoly":
-        return cls({exp: coeff})
 
     @property
     def is_zero(self) -> bool:
@@ -297,11 +289,10 @@ def substitute_t_squared(p: LaurentPoly) -> LaurentPoly:
 
 
 class FamilyReport(_Record):
-    __slots__ = ("deltas", "genus_ok", "fibered_ok", "genus_failures", "fibered_failures")
+    __slots__ = ("deltas", "genus_failures", "fibered_failures")
 
-    def __init__(self, deltas, genus_ok, fibered_ok, genus_failures, fibered_failures):
+    def __init__(self, deltas, genus_failures, fibered_failures):
         self.deltas = deltas  # each member's normalized Delta, in member order
-        self.genus_ok, self.fibered_ok = genus_ok, fibered_ok
         self.genus_failures, self.fibered_failures = genus_failures, fibered_failures
 
 
@@ -322,8 +313,6 @@ def family_report(family, k: int) -> FamilyReport:
     fibered_failures = tuple((V.name, c.reasons) for V, c in zip(family, certs) if not c.passes)
     return FamilyReport(
         deltas=deltas,
-        genus_ok=not genus_failures,
-        fibered_ok=not fibered_failures,
         genus_failures=genus_failures,
         fibered_failures=fibered_failures,
     )

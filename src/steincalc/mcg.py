@@ -157,26 +157,23 @@ def chain_curves(g: int) -> dict:
     return curves
 
 
-_CHAIN = object()  # default curve table of the hyperelliptic words: chain_curves(g)
-
-
-def hyperelliptic_half_word(g: int, curves: dict | None = _CHAIN) -> TwistWord:
+def hyperelliptic_half_word(g: int, curves: dict | None = None) -> TwistWord:
     """c1 c2 ... c_{2g} c_{2g+1}^2 c_{2g} ... c2 c1 (4g + 2 letters).
 
-    The curve table defaults to the gated chain_curves(g), which costs
-    O(g^2); curves=None gives a counting-only word, as for korkmaz_word.
+    Counting-only by default, as for korkmaz_word; pass chain_curves(g),
+    which costs O(g^2), to enable word_action.
     """
-    if g < 1:
+    if _as_int(g, "genus") < 1:
         raise ValueError("genus must be >= 1")
     letters = (
         [(f"c{i}", 1) for i in range(1, 2 * g + 1)]
         + [(f"c{2 * g + 1}", 2)]
         + [(f"c{i}", 1) for i in range(2 * g, 0, -1)]
     )
-    return TwistWord(SurfaceSpec(g, 0), tuple(letters), chain_curves(g) if curves is _CHAIN else curves)
+    return TwistWord(SurfaceSpec(g, 0), tuple(letters), curves)
 
 
-def hyperelliptic_word(g: int, curves: dict | None = _CHAIN) -> TwistWord:
+def hyperelliptic_word(g: int, curves: dict | None = None) -> TwistWord:
     """The full relator word: the half word squared, 8g + 4 letters."""
     half = hyperelliptic_half_word(g, curves)
     return TwistWord(half.surface, half.letters + half.letters, half.curves)
@@ -191,7 +188,7 @@ def korkmaz_word(m: int, curves: dict | None = None) -> TwistWord:
     The homology classes of b0..bg, a, b are not derivable from the word;
     pass a vetted curve table (see load_curves) to enable word_action.
     """
-    if m < 1:
+    if _as_int(m, "m") < 1:
         raise ValueError("m must be >= 1")
     g = 2 * m + 1
     block = [(f"b{i}", 1) for i in range(g + 1)] + [("a", 2), ("b", 2)]
@@ -201,68 +198,10 @@ def korkmaz_word(m: int, curves: dict | None = None) -> TwistWord:
 def lf_euler_characteristic(g: int, n: int) -> int:
     """Euler characteristic 4 - 4g + n of a genus-g fibration over the sphere
     with n nodal fibers."""
+    g, n = _as_int(g, "genus"), _as_int(n, "fiber count")
     if g < 0 or n < 0:
         raise ValueError("genus and fiber count must be >= 0")
     return 4 - 4 * g + n
-
-
-# -- homology of the blown-up rational surface --------------------------------
-
-
-class HomologyClassX(_Record):
-    """Class over the basis (h, e_1, ..., e_{4g+5}) with form diag(+1, -1, ..., -1)."""
-
-    __slots__ = ("g", "coefficients")
-
-    def __init__(self, g, coefficients):
-        self.g = _as_int(g, "g")
-        self.coefficients = tuple(_as_int(x, "class coefficient") for x in coefficients)
-        if len(self.coefficients) != 4 * g + 6:
-            raise ValueError(
-                f"class needs {4 * self.g + 6} coefficients, got {len(self.coefficients)}"
-            )
-
-
-def fiber_class(g: int) -> HomologyClassX:
-    """[F] = (g+2) h - g e_1 - e_2 - ... - e_{4g+5}."""
-    if g < 1:
-        raise ValueError("genus must be >= 1")
-    coeffs = [g + 2, -g] + [-1] * (4 * g + 4)
-    return HomologyClassX(g, tuple(coeffs))
-
-
-def hyperplane_class(g: int) -> HomologyClassX:
-    coeffs = [1] + [0] * (4 * g + 5)
-    return HomologyClassX(g, tuple(coeffs))
-
-
-def exceptional_class(g: int, i: int) -> HomologyClassX:
-    """e_i for 1 <= i <= 4g + 5."""
-    if not 1 <= i <= 4 * g + 5:
-        raise ValueError(f"i must be in 1..{4 * g + 5}")
-    coeffs = [0] * (4 * g + 6)
-    coeffs[i] = 1
-    return HomologyClassX(g, tuple(coeffs))
-
-
-def pair(x: HomologyClassX, y: HomologyClassX) -> int:
-    """Evaluate diag(+1, -1, ..., -1) on two classes."""
-    if x.g != y.g or len(x.coefficients) != len(y.coefficients):
-        raise ValueError("classes live in different lattices")
-    xs, ys = x.coefficients, y.coefficients
-    return xs[0] * ys[0] - sum(a * b for a, b in zip(xs[1:], ys[1:]))
-
-
-def section_count(g: int) -> int:
-    """Disjoint (-1)-sphere section count 4g + 4 of the genus-g chain fibration."""
-    if g < 1:
-        raise ValueError("genus must be >= 1")
-    return 4 * g + 4
-
-
-def section_classes(g: int) -> list:
-    """The section classes e_2, ..., e_{4g+5} (each of square -1)."""
-    return [exceptional_class(g, i) for i in range(2, 4 * g + 6)]
 
 
 # -- word DSL and curve files --------------------------------------------------

@@ -18,7 +18,6 @@ to inserted vertices, so a recorded MoveScript replays deterministically.
 from __future__ import annotations
 
 import json
-import warnings
 
 from .exactmat import IntMatrix, _as_int, _Record, is_negative_definite, smith_diagonal
 
@@ -106,9 +105,6 @@ class PlumbingGraph:
     def genus(self, v: int) -> int:
         return self._verts[v][1]
 
-    def has_edge(self, a: int, b: int) -> bool:
-        return frozenset((a, b)) in self._edges
-
     def degree(self, v: int) -> int:
         return len(self._adj.get(v, ()))
 
@@ -181,8 +177,7 @@ def star_graph_left(h: int, ps) -> PlumbingGraph:
 def star_graph_right(h: int, ps) -> PlumbingGraph:
     """Reduced star: central vertex (-r, genus h); leg i a chain of p_i - 1 (-2)-vertices.
 
-    A p_i = 1 entry yields an empty leg; the central weight still counts
-    it, which is flagged with a warning.
+    A p_i = 1 entry yields an empty leg; the central weight still counts it.
     """
     ps = tuple(_as_int(p, "leg multiplicity") for p in ps)
     if not ps:
@@ -191,11 +186,6 @@ def star_graph_right(h: int, ps) -> PlumbingGraph:
         raise ValueError("leg multiplicities must be positive")
     if h < 0:
         raise ValueError("genus must be >= 0")
-    if any(p == 1 for p in ps):
-        warnings.warn(
-            "p_i = 1 legs are empty chains; the central weight still counts them",
-            stacklevel=2,
-        )
     verts = [(0, -len(ps), h)]
     edges = []
     nxt = 1
@@ -256,20 +246,28 @@ _MOVE_SHAPE = "a move is {'op': ..., 'vertex': id | 'edge': [a, b], 'sign': +-1}
 
 
 class Move(_Record):
-    """One blow-up or blow-down.  The fields are checked here; the op and the
+    """One blow-up or blow-down.  The fields are checked here: a vertex op
+    needs ``vertex``, an edge blow-up needs ``edge``, only blow-ups take a
+    ``sign`` (default -1), and no op takes another's field.  The op and the
     sign's value are checked on replay, where the move index is known."""
 
     __slots__ = ("op", "vertex", "edge", "sign")
 
-    def __init__(self, op, vertex=_ABSENT, edge=_ABSENT, sign=-1):
-        if edge is not _ABSENT or op == BLOW_UP_ON_EDGE:
+    def __init__(self, op, vertex=_ABSENT, edge=_ABSENT, sign=_ABSENT):
+        if op in (BLOW_UP_AT_VERTEX, BLOW_DOWN):
+            shape_ok = vertex is not _ABSENT and edge is _ABSENT and (op != BLOW_DOWN or sign is _ABSENT)
+        else:
+            shape_ok = op != BLOW_UP_ON_EDGE or (edge is not _ABSENT and vertex is _ABSENT)
+        if not shape_ok:
+            raise ValueError(_MOVE_SHAPE)
+        if edge is not _ABSENT:
             if type(edge) not in (list, tuple) or len(edge) != 2:
                 raise ValueError(_MOVE_SHAPE)
             edge = tuple(_as_int(v, "move edge endpoint") for v in edge)
         self.op = op
         self.vertex = None if vertex is _ABSENT else _as_int(vertex, "move vertex")
         self.edge = None if edge is _ABSENT else edge
-        self.sign = _as_int(sign, "move sign")
+        self.sign = -1 if sign is _ABSENT else _as_int(sign, "move sign")
 
     def _edit(self, G: PlumbingGraph) -> None:
         """Apply the move to G's dicts in place, in the order a rebuild would give.
@@ -329,7 +327,7 @@ class Move(_Record):
             d["vertex"] = self.vertex
         if self.edge is not None:
             d["edge"] = list(self.edge)
-        if self.op != BLOW_DOWN and self.sign != -1:
+        if self.sign != -1:
             d["sign"] = self.sign
         return d
 

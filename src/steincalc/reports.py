@@ -202,7 +202,7 @@ def _fmt_seifert(sd) -> str:
 
 def report_figure1(h: int, ps) -> Report:
     """Equivalence of the positive star and its reduced negative form."""
-    ps = tuple(_as_int(p, "multiplicity") for p in ps)
+    h, ps = _as_int(h, "h"), tuple(_as_int(p, "multiplicity") for p in ps)
     if not ps or any(p < 2 for p in ps):
         raise ValueError("multiplicities must all be >= 2")
     if h < 0:
@@ -260,9 +260,9 @@ def _load_or_demo_family(family, k):
     if not members:
         raise ValueError("family required")
     gate = family_report(members, k)
-    if not gate.genus_ok:
+    if gate.genus_failures:
         raise ValueError(f"family members fail the genus-{k} gate: {list(gate.genus_failures)}")
-    if not gate.fibered_ok:
+    if gate.fibered_failures:
         names = [name for name, _ in gate.fibered_failures]
         raise ValueError(f"family members fail the fiberedness certificate: {names}")
     return members, gate.deltas

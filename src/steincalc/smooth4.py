@@ -18,14 +18,12 @@ surgery rules read.  Three honesty rules shape the module:
 
 from __future__ import annotations
 
-import warnings
-
 from . import bibliography
 from .exactmat import _as_int, _Record
 from .exactmat import signature as matrix_signature
 from .knots import LaurentPoly, SeifertMatrixK, substitute_t_squared
 from .plumbing import PlumbingGraph, intersection_matrix
-from .seifert import OpenBookDesc, SeifertData, openbook_homology, openbook_manifold
+from .seifert import OpenBookDesc, openbook_homology, openbook_manifold
 
 PI1_TRIVIAL = "trivial"
 PI1_Z_PLUS_ZN = "Z_plus_Zn"
@@ -222,21 +220,15 @@ def _is_untwisted_double_of_X(provenance) -> bool:
     return sides_ok and tail_ok
 
 
-def _section_power(M: ManifoldRecord, r: int) -> int | None:
-    """Check that M admits the excision of a fiber and r sections; return the sections' -square.
-
-    None when r = 0 (only the fiber is removed).
-    """
+def _section_power(M: ManifoldRecord, r: int) -> int:
+    """Check that M admits the excision of a fiber and r sections; return the sections' -square."""
     if M.fiber_genus is None:
         raise ValueError("excision needs a fibration: fiber genus missing")
-    if _as_int(r, "r") < 0:
-        raise ValueError("r must be >= 0")
+    if _as_int(r, "r") < 1:
+        raise ValueError("r must be >= 1")
     squares = {sq for sq, _ in M.sections}
     if len(squares) > 1:
         raise ValueError(f"mixed section squares {sorted(squares)}; excision is ambiguous")
-    if r == 0:
-        warnings.warn("r = 0 removes only the fiber; the boundary is a surface bundle")
-        return None
     if not M.sections:
         raise ValueError("no sections recorded")
     sq, count = M.sections[0]
@@ -247,15 +239,13 @@ def _section_power(M: ManifoldRecord, r: int) -> int | None:
     return -sq
 
 
-def _excised_piece(h: int, r: int, p: int | None) -> tuple:
+def _excised_piece(h: int, r: int, p: int) -> tuple:
     """(signature of the excised star, boundary SeifertData, boundary H1 rank).
 
     These depend on the fiber genus h, r and the section power p only, so a
     family that shares them computes them once.
     """
-    sigma_star = matrix_signature(intersection_matrix(_excised_star(h, r, p if p is not None else 1)))
-    if p is None:
-        return sigma_star, SeifertData(base_genus=h, e0=0, legs=()), 2 * h + 1
+    sigma_star = matrix_signature(intersection_matrix(_excised_star(h, r, p)))
     ob = OpenBookDesc(page_genus=h, powers=(p,) * r)
     return sigma_star, openbook_manifold(ob), openbook_homology(ob)[0]
 
@@ -271,16 +261,13 @@ def _filling(M: ManifoldRecord, r: int, piece: tuple) -> FillingRecord:
     elif M.pi1.kind in (PI1_Z_PLUS_ZN, PI1_PRODUCT_SURFACE):
         simply_connected = False
 
-    retained = ()
-    if M.sections and M.sections[0][1] - r > 0:
-        retained = ((M.sections[0][0], M.sections[0][1] - r),)
-
+    sq, count = M.sections[0]  # _section_power checked that count > r
     return FillingRecord(
         name=f"filling({M.name}; r={r})",
         euler_char=M.euler_char - (2 - 2 * h) - r,
         signature=M.signature - sigma_star,
         fiber_genus=h,
-        sections=retained,
+        sections=((sq, count - r),),
         pi1=pi1,
         sw_distinguisher=M.sw_distinguisher,
         provenance=M.provenance + ({"op": "excise_filling", "r": r},),

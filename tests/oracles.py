@@ -78,7 +78,7 @@ def blow_up_on_edge(G: PlumbingGraph, a: int, b: int, sign: int = -1) -> Plumbin
     """Insert a (sign)-vertex on the edge (a, b); both endpoint weights change by sign."""
     if sign not in (-1, 1):
         raise MoveError("blow-up sign must be +1 or -1")
-    if not G.has_edge(a, b):
+    if b not in G.neighbors(a):
         raise MoveError(f"no edge ({a},{b})")
     nid = max(G.vertex_ids) + 1
     verts = [(u, w + (sign if u in (a, b) else 0), g) for u, w, g in G.vertices()]
@@ -246,7 +246,7 @@ def naive_laurent_det(rows) -> LaurentPoly:
         return LaurentPoly.one()
     if n == 1:
         return rows[0][0]
-    total = LaurentPoly.zero()
+    total = LaurentPoly()
     for j, entry in enumerate(rows[0]):
         if entry.is_zero:
             continue

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import random
@@ -82,9 +83,23 @@ class TestPlumbCommands:
         assert code == 2
         assert "move 0" in err
 
-    @pytest.mark.parametrize("payload", [[5], {}, [{"op": "blow_down", "vertex": 1.0}]])
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            [5],
+            {},
+            [{"op": "blow_down", "vertex": 1.0}],
+            [{"op": "blow_down", "vertex": 1, "sign": 5}],
+            [{"op": "blow_down", "vertex": 1, "edge": [0, 1]}],
+            [{"op": "blow_down", "vertex": 1, "sign": 5, "edge": [0, 1]}],
+            [{"op": "blow_down"}],
+            [{"op": "blow_up_at_vertex", "vertex": 1, "edge": [0, 1]}],
+            [{"op": "blow_up_on_edge", "edge": [0, 1], "vertex": 1}],
+        ],
+    )
     def test_malformed_move_script_is_an_error(self, capsys, tmp_path, payload):
-        # vertex 1 is a +1 leaf, so the float blow-down once ran and exited 0
+        # vertex 1 is a +1 leaf, so the float blow-down and each move with a field its op
+        # does not take once ran and exited 0; a blow-down with no vertex failed on replay
         graph = tmp_path / "g.json"
         script = tmp_path / "s.json"
         graph.write_text(json.dumps(star_graph_left(1, (1, 3)).to_dict()))
@@ -542,3 +557,67 @@ def test_signed_and_padded_integers_still_parse(capsys, tmp_path):
     code, out, _ = run(capsys, ["mcg", "action", "--word", str(word), "--surface", " 1 , 0 "])
     assert code == 0
     assert json.loads(out)["letter_count"] == 8
+
+
+# Inputs, exit codes and stdout digests of one run of every subcommand.  A change
+# that means to alter an output records its digest again; any other difference
+# is a regression.
+PINNED_INPUTS = {
+    "star.json": '{"vertices": [{"id": 0, "weight": -2, "genus": 1}, {"id": 1, "weight": -2}, {"id": 2, "weight": -2},'
+    ' {"id": 3, "weight": -2}], "edges": [[0, 1], [0, 2], [2, 3]]}',
+    "left.json": '{"vertices": [{"id": 0, "weight": 0, "genus": 1}, {"id": 1, "weight": 3}], "edges": [[0, 1]]}',
+    "script.json": '[{"op": "blow_up_on_edge", "edge": [0, 1], "sign": -1}, {"op": "blow_up_on_edge", "edge": [2, 1]},'
+    ' {"op": "blow_down", "vertex": 1}, {"op": "blow_up_at_vertex", "vertex": 0, "sign": 1}]',
+    "word.txt": "(c1 c2 c3^2 c2 c1)^2",
+    "V.json": '{"name": "torus(2,5)", "matrix": [[-1, 1, 0, 0], [0, -1, 1, 0], [0, 0, -1, 1], [0, 0, 0, -1]]}',
+}
+PINNED_COMMANDS = {
+    "report-figure1": ["report", "figure1", "--genus", "1", "--powers", "2,3"],
+    "report-figure1-md": ["report", "figure1", "--genus", "1", "--powers", "2,3", "--format", "md"],
+    "report-thm44": ["report", "thm44", "--g", "2", "--k", "2", "--r", "1"],
+    "report-thm44-md": ["report", "thm44", "--g", "2", "--k", "2", "--r", "1", "--format", "md"],
+    "report-thm44-r0": ["report", "thm44", "--g", "2", "--k", "2", "--r", "0"],
+    "report-thm53": ["report", "thm53", "--m", "1", "--n", "3", "--k", "2"],
+    "report-thm53-md": ["report", "thm53", "--m", "1", "--n", "3", "--k", "2", "--format", "md"],
+    "report-cor55": ["report", "cor55", "--h", "9", "--n", "2"],
+    "report-cor55-md": ["report", "cor55", "--h", "9", "--n", "2", "--format", "md"],
+    "plumb-invariants": ["plumb", "invariants", "{tmp}/star.json"],
+    "plumb-moves": ["plumb", "moves", "{tmp}/left.json", "{tmp}/script.json"],
+    "seifert-from-star": ["seifert", "from-star", "{tmp}/star.json"],
+    "seifert-open-book": ["seifert", "open-book", "--genus", "2", "--powers", "2,3"],
+    "mcg-action": ["mcg", "action", "--word", "{tmp}/word.txt", "--surface", "1,0"],
+    "lf-chi-hyperelliptic": ["lf", "chi", "--catalog", "hyperelliptic", "--param", "3"],
+    "lf-chi-korkmaz": ["lf", "chi", "--catalog", "korkmaz", "--param", "2"],
+    "knots-alexander": ["knots", "alexander", "{tmp}/V.json"],
+}
+PINNED_DIGESTS = {
+    "report-figure1": (0, "a1810e04b189743f9e1c442be5cbd112c1f401e3c92da547253232daf6dbf023"),
+    "report-figure1-md": (0, "b052d84a2b1704bdc489b2e9c1c83235c260999ddab0ad3ea17b2a83c9ba8297"),
+    "report-thm44": (0, "b059fe2c08a6c9b392e51edda4b610001d04a873d674592fff5dacc70a4e475a"),
+    "report-thm44-md": (0, "e3820c7cc8abcfa3d808afd4e73bdf4515193d495f7d2903a18dc109724a0a86"),
+    "report-thm44-r0": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "report-thm53": (0, "d817d2c2c2651028fde97c9d6c5e46dfacd488cace430f01804de5aa3e4210b9"),
+    "report-thm53-md": (0, "af6968cc8bdd06ecdfd058b3ddfb5f0f1fbc178520c6b8ef12621cf3cea1e9ad"),
+    "report-cor55": (0, "541338962d41443c54efb479ecee75e87170722845ce0a75054a7e0bb02c7690"),
+    "report-cor55-md": (0, "36cb56b6412461fe737524c728a3001d9a30669b375d82c637597a0b035ba438"),
+    "plumb-invariants": (0, "fdda50e4f8b764ba5f7514dd916ed0cf6a7e2459c972261441d2ef40e5a83bd8"),
+    "plumb-moves": (0, "accb9cc6719e6819f9fc9d335b79dc9d34daa0f19be90628290b0a3e1fceffbb"),
+    "seifert-from-star": (0, "3984d9241353970951557e0212bb869805f4e1b3ea3369668c1f57ac133b0110"),
+    "seifert-open-book": (0, "da9dedd1c67fa7b9db3bc3da9254634f6ba55eb3236dd3bc2ea5456c60895610"),
+    "mcg-action": (0, "6a74ab2177b7b0a12b999a5bcf8248d4c56b92d801bd05184daeeed28bc2e59c"),
+    "lf-chi-hyperelliptic": (0, "be580b902cae17ef46078e15475d95cca5e1a84cb1870dd7392e45aaebf86bda"),
+    "lf-chi-korkmaz": (0, "cb67090c8ca56b8547393df4484d6495e6303ddb93099805bf19c4a6609162f6"),
+    "knots-alexander": (0, "823f6bf669f66b371e58f7bbcaae2768bbfb4edfd8ad32509b7afbc5236aa653"),
+}
+
+
+def test_cli_stdout_bytes_are_pinned(tmp_path):
+    for name, text in PINNED_INPUTS.items():
+        (tmp_path / name).write_text(text)
+    got = {}
+    for key, argv in PINNED_COMMANDS.items():
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            code = main([a.format(tmp=tmp_path) for a in argv])
+        got[key] = (code, hashlib.sha256(out.getvalue().encode()).hexdigest())
+    assert got == PINNED_DIGESTS

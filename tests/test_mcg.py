@@ -10,23 +10,16 @@ from steincalc.exactmat import IntMatrix
 from steincalc.mcg import (
     MAX_WORD_LETTERS,
     Curve,
-    HomologyClassX,
     SurfaceSpec,
     TwistWord,
     chain_curves,
-    exceptional_class,
-    fiber_class,
     hyperelliptic_half_word,
     hyperelliptic_word,
-    hyperplane_class,
     korkmaz_word,
     lf_euler_characteristic,
     load_curves,
-    pair,
     pairing,
     parse_word,
-    section_classes,
-    section_count,
     word_action,
 )
 
@@ -130,17 +123,17 @@ class TestWordAction:
 
     def test_half_word_is_minus_identity(self):
         for g in (1, 2, 3):
-            M = word_action(hyperelliptic_half_word(g))
+            M = word_action(hyperelliptic_half_word(g, chain_curves(g)))
             minus = IntMatrix([[-1 if i == j else 0 for j in range(2 * g)] for i in range(2 * g)])
             assert M == minus
 
     def test_full_word_is_identity(self):
         for g in (1, 2, 3):
-            assert word_action(hyperelliptic_word(g)) == IntMatrix.identity(2 * g)
+            assert word_action(hyperelliptic_word(g, chain_curves(g))) == IntMatrix.identity(2 * g)
 
     def test_genus_100_half_word_in_under_a_second(self):
         start = time.perf_counter()
-        M = word_action(hyperelliptic_half_word(100))
+        M = word_action(hyperelliptic_half_word(100, chain_curves(100)))
         elapsed = time.perf_counter() - start
         assert M == diagonal([-1] * 200)
         assert elapsed < 1.0, f"genus-100 half word took {elapsed:.2f}s"
@@ -156,9 +149,9 @@ class TestHyperellipticWord:
         for g in (1, 2, 3, 4, 5):
             assert hyperelliptic_word(g).letter_count == 8 * g + 4
             assert hyperelliptic_half_word(g).letter_count == 4 * g + 2
-            counting = hyperelliptic_word(g, curves=None)
+            counting = hyperelliptic_word(g)
             assert counting.curves is None
-            assert counting.letters == hyperelliptic_word(g).letters
+            assert counting.letters == hyperelliptic_word(g, chain_curves(g)).letters
 
     def test_g1_count(self):
         assert hyperelliptic_word(1).letter_count == 12
@@ -224,53 +217,6 @@ class TestEulerCharacteristic:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             lf_euler_characteristic(-1, 0)
-
-
-class TestFiberClass:
-    def test_square_zero(self):
-        for g in range(1, 6):
-            F = fiber_class(g)
-            assert pair(F, F) == 0
-
-    def test_meets_exceptional_spheres_once(self):
-        for g in (1, 2, 3):
-            F = fiber_class(g)
-            for i in range(2, 4 * g + 6):
-                assert pair(F, exceptional_class(g, i)) == 1
-
-    def test_meets_horizontal_sphere_twice(self):
-        for g in range(1, 6):
-            F = fiber_class(g)
-            h = hyperplane_class(g)
-            e1 = exceptional_class(g, 1)
-            h_minus_e1 = type(F)(g, tuple(a - b for a, b in zip(h.coefficients, e1.coefficients)))
-            assert pair(F, h_minus_e1) == 2
-
-    def test_length_validation(self):
-        with pytest.raises(ValueError):
-            type(fiber_class(1))(1, (0,) * 5)
-
-    @pytest.mark.parametrize("bad", [1.9, 1.0, True, None, "1"])
-    def test_non_integer_coefficient_rejected(self, bad):
-        with pytest.raises(ValueError, match="not an integer"):
-            HomologyClassX(1, (bad,) + (0,) * 9)
-
-    @pytest.mark.parametrize("bad", [1.0, True])
-    def test_non_integer_genus_rejected(self, bad):
-        with pytest.raises(ValueError, match="not an integer"):
-            HomologyClassX(bad, (0,) * 10)
-
-
-class TestSections:
-    def test_counts(self):
-        assert section_count(2) == 12
-        assert section_count(1) == 8
-
-    def test_squares(self):
-        for g in (1, 2):
-            for s in section_classes(g):
-                assert pair(s, s) == -1
-        assert len(section_classes(2)) == section_count(2)
 
 
 class TestWordDSL:

@@ -115,10 +115,10 @@ class TestStarGraphs:
         G = star_graph_right(0, (4,))
         assert [G.weight(v) for v in G.vertex_ids] == [-1, -2, -2, -2]
 
-    def test_right_unit_leg_warns(self):
-        with pytest.warns(UserWarning):
-            G = star_graph_right(0, (1, 2))
+    def test_right_unit_leg_is_empty(self):
+        G = star_graph_right(0, (1, 2))
         assert [G.weight(v) for v in G.vertex_ids] == [-2, -2]
+        assert G.edges == ((0, 1),)
 
 
 class TestIntersectionMatrix:
@@ -272,6 +272,13 @@ class TestMoveScript:
             (dict(op=BLOW_UP_ON_EDGE), "a move is"),
             (dict(op=BLOW_UP_ON_EDGE, edge=(0, 1, 2)), "a move is"),
             (dict(op=BLOW_UP_ON_EDGE, edge=(0, 1.0)), "move edge endpoint 1.0 is not an integer"),
+            (dict(op=BLOW_DOWN), "a move is"),
+            (dict(op=BLOW_DOWN, vertex=1, sign=5), "a move is"),
+            (dict(op=BLOW_DOWN, vertex=1, sign=-1), "a move is"),
+            (dict(op=BLOW_DOWN, vertex=1, edge=(0, 1)), "a move is"),
+            (dict(op=BLOW_UP_AT_VERTEX), "a move is"),
+            (dict(op=BLOW_UP_AT_VERTEX, vertex=1, edge=(0, 1)), "a move is"),
+            (dict(op=BLOW_UP_ON_EDGE, edge=(0, 1), vertex=1), "a move is"),
         ],
     )
     def test_move_checks_its_fields(self, fields, message):
@@ -294,7 +301,8 @@ class TestMoveScript:
                     moves.append(Move(op, edge=rng.choice([(a, b), (b, a)]), sign=sign))
                 else:
                     pool = downs if op == BLOW_DOWN and downs and rng.random() < 0.95 else ids
-                    moves.append(Move(op, vertex=rng.choice(pool), sign=sign))
+                    signed = {} if op == BLOW_DOWN else {"sign": sign}  # a blow-down takes no sign
+                    moves.append(Move(op, vertex=rng.choice(pool), **signed))
                 try:
                     H = rebuild_replay(H, moves[-1:])
                 except MoveError:

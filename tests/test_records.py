@@ -7,7 +7,7 @@ import pytest
 import steincalc
 from steincalc.exactmat import IntMatrix
 from steincalc.knots import FamilyReport, FiberednessCheck, LaurentPoly, SeifertMatrixK
-from steincalc.mcg import Curve, HomologyClassX, SurfaceSpec, TwistWord
+from steincalc.mcg import Curve, SurfaceSpec, TwistWord
 from steincalc.plumbing import Move
 from steincalc.reports import Assumption, Check, Report
 from steincalc.seifert import ContactFlags, OpenBookDesc, SeifertData
@@ -28,19 +28,18 @@ RECORDS = [
         dict(letters=(("c1", 2),)),
         dict(curves=None),
     ),
-    (HomologyClassX, dict(g=1, coefficients=(3,) + (0,) * 9), dict(coefficients=(0,) * 10), {}),
     (SeifertMatrixK, dict(name="trefoil", matrix=IntMatrix([[-1, 1], [0, -1]])), dict(name="knot"), {}),
     (FiberednessCheck, dict(passes=True, monic=True, span_matches=True, reasons=()), dict(passes=False), {}),
     (
         FamilyReport,
-        dict(deltas=(ONE,), genus_ok=True, fibered_ok=True, genus_failures=(), fibered_failures=()),
+        dict(deltas=(ONE,), genus_failures=(), fibered_failures=()),
         dict(deltas=(ONE, ONE)),
         {},
     ),
     (SeifertData, dict(base_genus=1, e0=-2, legs=((2, 1),)), dict(e0=-1), {}),
     (ContactFlags, dict(milnor_fillable=True, unique_transverse_invariant_class=True), dict(milnor_fillable=False), {}),
     (OpenBookDesc, dict(page_genus=2, powers=(2, 3)), dict(powers=(3, 2)), {}),
-    (Move, dict(op="blow_down", vertex=1), dict(sign=1), {}),
+    (Move, dict(op="blow_up_at_vertex", vertex=1), dict(sign=1), {}),
     (Pi1Tag, dict(kind=PI1_TRIVIAL), dict(param=3), {}),
     (ManifoldRecord, MANIFOLD, dict(signature=-16), {}),
     (FillingRecord, dict(MANIFOLD, boundary=SeifertData(2, -1, ())), dict(euler_char=35), {}),  # an inherited field

@@ -164,8 +164,9 @@ class TestIntegerParameters:
             lambda x: report_corollary55(x),
             lambda x: report_corollary55(9, n=x),
             lambda x: report_corollary55(8, n=x),
+            lambda x: report_figure1(x, (2,)),
         ],
-        ids=["thm44-g", "thm44-k", "thm44-r", "thm53-m", "thm53-n", "thm53-k", "cor55-h", "cor55-n", "cor55-n-even-h"],
+        ids=["thm44-g", "thm44-k", "thm44-r", "thm53-m", "thm53-n", "thm53-k", "cor55-h", "cor55-n", "cor55-n-even-h", "figure1-h"],
     )
     def test_non_integer_parameter_rejected(self, build, bad):
         with pytest.raises(ValueError, match="not an integer"):

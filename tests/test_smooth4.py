@@ -5,7 +5,7 @@ import pytest
 from oracles import random_seifert_matrix
 
 from steincalc.knots import FIGURE_EIGHT, TREFOIL, UNKNOT, LaurentPoly, alexander, connected_sum, demo_family
-from steincalc.mcg import lf_euler_characteristic
+from steincalc.mcg import hyperelliptic_word, korkmaz_word, lf_euler_characteristic
 from steincalc.seifert import SeifertData
 from steincalc.smooth4 import (
     PI1_PRODUCT_SURFACE,
@@ -36,8 +36,12 @@ class TestIntegerParameters:
             make_X_g1,
             make_W,
             lambda x: excise_fillings([fiber_sum(make_X_g1(2), make_X_g1(2))], x),
+            hyperelliptic_word,
+            korkmaz_word,
+            lambda x: lf_euler_characteristic(x, 3),
+            lambda x: lf_euler_characteristic(2, x),
         ],
-        ids=["make_X_g1", "make_W", "excise_filling-r"],
+        ids=["make_X_g1", "make_W", "excise_filling-r", "hyperelliptic_word", "korkmaz_word", "lf-chi-g", "lf-chi-n"],
     )
     def test_non_integer_parameter_rejected(self, build, bad):
         with pytest.raises(ValueError, match="not an integer"):
@@ -189,13 +193,10 @@ class TestExciseFilling:
         assert V.pi1.kind == PI1_TRIVIAL
         assert V.det_intersection_form == 0
 
-    def test_fiber_only_warns(self):
+    def test_fiber_only_rejected(self):
         X2 = fiber_sum(make_X_g1(2), make_X_g1(2))
-        with pytest.warns(UserWarning):
-            [V] = excise_fillings([X2], 0)
-        assert V.euler_char == X2.euler_char - (2 - 2 * X2.fiber_genus)
-        assert V.signature == X2.signature
-        assert not V.boundary.legs
+        with pytest.raises(ValueError, match="r must be >= 1"):
+            excise_fillings([X2], 0)
 
     def test_twisted_pipeline_boundary(self):
         for m, k_mat in ((1, GENUS2), (2, GENUS2)):
