@@ -9,9 +9,10 @@ O(n), never densely.
 Two fraction-free Bareiss eliminations do the work:
 
 * ``_pivots``: a sparse symmetric pass (fewest-nonzeros pivot taken from a
-  heap of (row length, row index), lazy row scaling) whose pivots are the
-  leading principal minors D_1, D_2, ... of matrices congruent to M by
-  unimodular moves.  It is the one kernel of symmetric forms:
+  heap of (row length, row index); each entry carries the pivot at which
+  it was last exact and is scaled to the current one only when read)
+  whose pivots are the leading principal minors D_1, D_2, ... of matrices
+  congruent to M by unimodular moves.  It is the one kernel of symmetric forms:
   ``signature`` counts the pivot signs (Jacobi), ``is_negative_definite``
   stops at the first pivot of the wrong sign, and ``determinant`` of a
   symmetric matrix is the last pivot D_n (0 if a kernel is left);
@@ -297,38 +298,43 @@ def _require_symmetric(M: IntMatrix, op: str) -> None:
         raise ValueError(f"{op} requires a symmetric matrix")
 
 
+def _entry(r: dict, j: int, prev: int) -> int:
+    """Entry j of a stamped row r at the step whose pivot is prev (0 if absent); see ``_pivots``."""
+    v, s = r.get(j, (0, 1))
+    return v if s == prev else v * prev // s
+
+
 def _pivots(M: IntMatrix):
     """Yield the pivots D_1, D_2, ... of a symmetric matrix, by sparse symmetric Bareiss.
 
-    Rows are copies of the matrix's stored dicts of nonzeros.  Each step
-    pivots on the live row with a nonzero diagonal and the fewest nonzeros,
-    least index first (on a forest, a leaf: no fill-in).  That row comes off
-    a heap of (row length, row index): a neighbour update pushes the row it
-    changes, and an entry whose row is gone, whose diagonal is zero or whose
-    length has changed since is dropped when popped, so the pivot is the
-    least (len, i) among the live rows, exactly as a scan would pick.  When
-    the heap runs dry the live diagonal is all zero, and the congruence
-    row_p += row_q, col_p += col_q first makes the pivot 2 A[p][q]; it
-    changes no other diagonal, so it pushes nothing.  Symmetric swaps and
-    that congruence are unimodular, and entries are bordered minors of the
-    congruent matrices, so divisions are exact, pivot k is the leading
-    minor D_k, and D_n = det M when every row pivots.  Only the pivot's
-    neighbours are updated, after the pivot is yielded; a row last updated
-    at pivot D_s is scaled by D_k / D_s when next read.  What never pivots
-    is the kernel.
+    Each step pivots on the live row with a nonzero diagonal and the fewest
+    nonzeros, least index first (on a forest, a leaf: no fill-in).  That
+    row comes off a heap of (row length, row index): a neighbour update
+    pushes the row it changes, and an entry whose row is gone, whose
+    diagonal is zero or whose length has changed since is dropped when
+    popped, so the pivot is the least (len, i) among the live rows, exactly
+    as a scan would pick.  When the heap runs dry the live diagonal is all
+    zero, and the congruence row_p += row_q, col_p += col_q first makes the
+    pivot 2 A[p][q]; it changes no other diagonal, so it pushes nothing.
+    Symmetric swaps and that congruence are unimodular, and entries are
+    bordered minors of the congruent matrices, so divisions are exact,
+    pivot k is the leading minor D_k, and D_n = det M when every row
+    pivots.  What never pivots is the kernel.
+
+    Rows are dicts {column: (value, stamp)}, made from the matrix's stored
+    nonzeros with stamp D_0 = 1.  The stamp is the pivot D_s of the step
+    at which the value was last exact.  A step that leaves an entry's row
+    or column out of the pivot's neighbours scales it by D_k / D_{k-1}, so
+    at pivot D_k its value is v * D_k // D_s, an exact division done when
+    the entry is read (Bareiss 1968).  A neighbour update, made after the
+    pivot is yielded, reads and writes only the pivot row's columns; the
+    rest of the row keeps its stamps, so a star's centre row is never
+    rescaled as a whole.
     """
-    R = {i: dict(r) for i, r in enumerate(M._nonzeros)}
-    at = [1] * M.nrows  # row i holds minors as of the step whose pivot was at[i]
+    R = {i: {j: (v, 1) for j, v in r.items()} for i, r in enumerate(M._nonzeros)}
     prev = 1
     heap = [(len(r), i) for i, r in R.items() if i in r]
     heapify(heap)
-
-    def current(i):
-        if at[i] != prev:
-            R[i] = {j: v * prev // at[i] for j, v in R[i].items()}
-            at[i] = prev
-        return R[i]
-
     while R:
         while heap:
             length, p = heappop(heap)
@@ -339,34 +345,36 @@ def _pivots(M: IntMatrix):
             p = next((i for i, r in R.items() if r), None)
             if p is None:
                 return
-            rp = current(p)
+            rp = R[p]
             q = next(iter(rp))
-            for j, v in current(q).items():
+            rq = R[q]
+            for j in rq:
                 if j != p:
-                    rj, w = R[j], rp.get(j, 0) + v
+                    rj, w = R[j], _entry(rp, j, prev) + _entry(rq, j, prev)
                     if w:
-                        rp[j] = w
-                        rj[p] = rj.get(p, 0) + rj[q]
+                        rp[j] = (w, prev)
+                        rj[p] = (_entry(rj, p, prev) + _entry(rj, q, prev), prev)
                     else:
                         del rp[j], rj[p]
-            rp[p] = 2 * rp[q]
-        rp = current(p)
-        del R[p]
+            rp[p] = (2 * _entry(rp, q, prev), prev)
+        rp = {}
+        for j, (v, s) in R.pop(p).items():
+            rp[j] = v if s == prev else v * prev // s
         a = rp.pop(p)
         yield a
         for i in rp:
-            ri = current(i)
-            c = ri.pop(p)
-            for j, v in ri.items():
-                if j not in rp:
-                    ri[j] = v * a // prev
+            ri = R[i]
+            v, s = ri.pop(p)
+            c = v if s == prev else v * prev // s
             for j, w in rp.items():
-                x = (ri.get(j, 0) * a - c * w) // prev
+                v, s = ri.get(j, (0, 1))
+                if s != prev:
+                    v = v * prev // s
+                x = (v * a - c * w) // prev
                 if x:
-                    ri[j] = x
+                    ri[j] = (x, a)
                 else:
                     ri.pop(j, None)
-            at[i] = a
             if i in ri:
                 heappush(heap, (len(ri), i))
         prev = a

@@ -22,6 +22,10 @@ import json
 from .exactmat import IntMatrix, _as_int, _Record, is_negative_definite, smith_diagonal
 
 
+_GRAPH_SHAPE = "a graph is {'vertices': [{'id', 'weight', 'genus'}, ...], 'edges': [[a, b], ...]}"
+_VERTEX_KEYS = frozenset(("id", "weight", "genus"))
+
+
 class MoveError(ValueError):
     """A plumbing move was applied where its preconditions fail."""
 
@@ -142,13 +146,15 @@ class PlumbingGraph:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PlumbingGraph":
+        """The graph a file's dict describes; a key no reader knows is an error, never dropped."""
         try:
             verts = [(v["id"], v["weight"], v.get("genus", 0)) for v in data["vertices"]]
             edges = [(a, b) for a, b in data["edges"]]
+            shape_ok = data.keys() <= {"vertices", "edges"} and all(v.keys() <= _VERTEX_KEYS for v in data["vertices"])
         except (TypeError, AttributeError, KeyError, ValueError):  # ValueError: an edge that is no pair
-            raise ValueError(
-                "a graph is {'vertices': [{'id', 'weight', 'genus'}, ...], 'edges': [[a, b], ...]}"
-            ) from None
+            shape_ok = False
+        if not shape_ok:
+            raise ValueError(_GRAPH_SHAPE)
         return cls(verts, edges)
 
     @classmethod
@@ -269,11 +275,14 @@ class Move(_Record):
         self.edge = None if edge is _ABSENT else edge
         self.sign = -1 if sign is _ABSENT else _as_int(sign, "move sign")
 
-    def _edit(self, G: PlumbingGraph) -> None:
+    def _edit(self, G: PlumbingGraph, top: int) -> int:
         """Apply the move to G's dicts in place, in the order a rebuild would give.
 
-        Blow-ups take the fresh id max + 1.  A blow-down joins the two
-        neighbours of a degree-2 vertex; on a tree they share no edge.
+        ``top`` is G's greatest vertex id, and the greatest id after the
+        move is returned: a blow-up takes the fresh id top + 1, and only a
+        blow-down of top itself looks for the new greatest.  A blow-down
+        joins the two neighbours of a degree-2 vertex; on a tree they share
+        no edge.
         """
         verts, edges, adj = G._verts, G._edges, G._adj
         if self.op == BLOW_DOWN:
@@ -290,6 +299,8 @@ class Move(_Record):
             if len(verts) == 1:
                 raise MoveError("cannot blow down the last vertex")
             del verts[v]
+            if v == top:
+                top = max(verts)
             ends, shift = tuple(adj.pop(v)), -w
             for u in ends:
                 del edges[frozenset((v, u))], adj[u][v]
@@ -298,7 +309,7 @@ class Move(_Record):
             shift = self.sign
             if shift not in (-1, 1):
                 raise MoveError("blow-up sign must be +1 or -1")
-            nid = max(verts) + 1
+            top = nid = top + 1
             if self.op == BLOW_UP_AT_VERTEX:
                 v = self.vertex
                 if v not in verts:
@@ -320,6 +331,7 @@ class Move(_Record):
         for a, b in joins:
             edges[frozenset((a, b))] = (a, b)
             adj[a][b] = adj[b][a] = None
+        return top
 
     def to_dict(self) -> dict:
         d = {"op": self.op}
@@ -333,9 +345,9 @@ class Move(_Record):
 
     @classmethod
     def from_dict(cls, d: dict) -> "Move":
-        if not isinstance(d, dict) or "op" not in d:
+        if not isinstance(d, dict) or "op" not in d or d.keys() - cls._fields:
             raise ValueError(_MOVE_SHAPE)
-        return cls(**{k: d[k] for k in ("op", "vertex", "edge", "sign") if k in d})
+        return cls(**d)
 
 
 class MoveScript:
@@ -347,9 +359,10 @@ class MoveScript:
     def replay(self, G: PlumbingGraph) -> PlumbingGraph:
         """The graph after every move, built by editing one copy of G in place."""
         G = G._copy()
+        top = max(G._verts)
         for k, move in enumerate(self.moves):
             try:
-                move._edit(G)
+                top = move._edit(G, top)
             except MoveError as exc:
                 raise MoveError(f"move {k} ({move.op}) failed: {exc}") from exc
         return G

@@ -199,17 +199,10 @@ def openbook_homology(ob: OpenBookDesc):
     untouched and contribute Z^{2h}.
     """
     r = ob.boundary_count
-    rows = []
-    for i, p in enumerate(ob.powers):
-        row = [0] * r  # columns d_1 .. d_{r-1}, t
-        if i < r - 1:
-            row[i] = p
-        else:
-            for j in range(r - 1):
-                row[j] = -p
-        row[r - 1] += 1
-        rows.append(row)
-    diag = smith_diagonal(IntMatrix(rows))
+    *ps, p_r = ob.powers  # every power is a checked int >= 1, so every entry below is nonzero
+    rows = [{i: p, r - 1: 1} for i, p in enumerate(ps)]  # columns d_1 .. d_{r-1}, t
+    rows.append({**dict.fromkeys(range(r - 1), -p_r), r - 1: 1})
+    diag = smith_diagonal(IntMatrix._from_nonzeros(rows, r))
     rank = 2 * ob.page_genus + sum(1 for d in diag if d == 0)
     torsion = tuple(d for d in diag if d > 1)
     return rank, torsion

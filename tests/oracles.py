@@ -7,13 +7,15 @@ elimination, Laplace expansion instead of Kronecker substitution for
 polynomial determinants, dense transvection products instead of sparse
 column updates for twist words, a dense n x n build instead of the sparse
 one for intersection matrices, a whole rebuild per plumbing move instead
-of in-place edits.  The dense matrix builders and products that the
+of in-place edits, whole-row scaling instead of per-entry stamps in the
+symmetric pivot pass.  The dense matrix builders and products that the
 library does not need live here too.
 """
 
 import random
 from fractions import Fraction
 from functools import reduce
+from heapq import heapify, heappop, heappush
 
 from steincalc.exactmat import IntMatrix
 from steincalc.knots import LaurentPoly, SeifertMatrixK
@@ -237,6 +239,69 @@ def tree_det(G: PlumbingGraph) -> int:
         det *= -1 if d is None else d
     assert det.denominator == 1
     return int(det)
+
+
+def row_scaled_pivots(M: IntMatrix):
+    """The pivots of ``exactmat._pivots``, with that pass's earlier bookkeeping.
+
+    Same heap, pivot order and pair congruence as the library pass.  Each
+    row keeps one scale, the pivot at[i] of the step at which it was last
+    updated, and the whole row is scaled by D_k / D_s when next read; so a
+    row with many neighbours is rescaled once per neighbour pivot.
+    """
+    R = {i: dict(r) for i, r in enumerate(M._nonzeros)}
+    at = [1] * M.nrows  # row i holds minors as of the step whose pivot was at[i]
+    prev = 1
+    heap = [(len(r), i) for i, r in R.items() if i in r]
+    heapify(heap)
+
+    def current(i):
+        if at[i] != prev:
+            R[i] = {j: v * prev // at[i] for j, v in R[i].items()}
+            at[i] = prev
+        return R[i]
+
+    while R:
+        while heap:
+            length, p = heappop(heap)
+            r = R.get(p)
+            if r is not None and p in r and len(r) == length:
+                break
+        else:
+            p = next((i for i, r in R.items() if r), None)
+            if p is None:
+                return
+            rp = current(p)
+            q = next(iter(rp))
+            for j, v in current(q).items():
+                if j != p:
+                    rj, w = R[j], rp.get(j, 0) + v
+                    if w:
+                        rp[j] = w
+                        rj[p] = rj.get(p, 0) + rj[q]
+                    else:
+                        del rp[j], rj[p]
+            rp[p] = 2 * rp[q]
+        rp = current(p)
+        del R[p]
+        a = rp.pop(p)
+        yield a
+        for i in rp:
+            ri = current(i)
+            c = ri.pop(p)
+            for j, v in ri.items():
+                if j not in rp:
+                    ri[j] = v * a // prev
+            for j, w in rp.items():
+                x = (ri.get(j, 0) * a - c * w) // prev
+                if x:
+                    ri[j] = x
+                else:
+                    ri.pop(j, None)
+            at[i] = a
+            if i in ri:
+                heappush(heap, (len(ri), i))
+        prev = a
 
 
 def naive_laurent_det(rows) -> LaurentPoly:

@@ -95,11 +95,14 @@ class TestPlumbCommands:
             [{"op": "blow_down"}],
             [{"op": "blow_up_at_vertex", "vertex": 1, "edge": [0, 1]}],
             [{"op": "blow_up_on_edge", "edge": [0, 1], "vertex": 1}],
+            [{"op": "blow_down", "vertex": 1, "edge_": [0, 1], "sgn": 5}],
+            [{"op": "blow_up_at_vertex", "vertex": 1, "sgn": 1}],
         ],
     )
     def test_malformed_move_script_is_an_error(self, capsys, tmp_path, payload):
-        # vertex 1 is a +1 leaf, so the float blow-down and each move with a field its op
-        # does not take once ran and exited 0; a blow-down with no vertex failed on replay
+        # vertex 1 is a +1 leaf, so the float blow-down, each move with a field its op
+        # does not take and each with an unknown key once ran and exited 0; a blow-down
+        # with no vertex failed on replay
         graph = tmp_path / "g.json"
         script = tmp_path / "s.json"
         graph.write_text(json.dumps(star_graph_left(1, (1, 3)).to_dict()))
@@ -310,12 +313,14 @@ class TestLfCommands:
             {"edges": []},
             {"vertices": [{"id": 0, "weight": -2}, {"id": 1, "weight": -2}], "edges": [[0, 1, 2]]},
             {"vertices": [{"id": 0, "weight": -2}, {"id": 1, "weight": -2}], "edges": [[0]]},
+            {"vertices": [{"id": 0, "weight": -2, "wieght": 7}, {"id": 1, "weight": -2}], "edges": [[0, 1]]},
+            {"vertices": [{"id": 0, "weight": -2}, {"id": 1, "weight": -2}], "edges": [[0, 1]], "edgez": []},
         ],
-        ids=["no-weight", "no-vertices", "edge-triple", "edge-single"],
+        ids=["no-weight", "no-vertices", "edge-triple", "edge-single", "vertex-key", "graph-key"],
     )
     @pytest.mark.parametrize("command", [["plumb", "invariants"], ["seifert", "from-star"]])
     def test_malformed_graph_file_names_the_shape(self, capsys, tmp_path, payload, command):
-        # these once printed "error: 'weight'" or an unpacking message
+        # these once printed "error: 'weight'" or an unpacking message, or dropped an unknown key
         graph = tmp_path / "g.json"
         graph.write_text(json.dumps(payload))
         code, out, err = run(capsys, command + [str(graph)])

@@ -15,6 +15,7 @@ from oracles import (
     random_symmetric,
     random_tree,
     resolution_tree,
+    row_scaled_pivots,
     tree_det,
     tree_inertia,
     zeros,
@@ -34,7 +35,8 @@ from steincalc.exactmat import (
     signature,
     smith_diagonal,
 )
-from steincalc.plumbing import PlumbingGraph, boundary_homology, intersection_matrix
+from steincalc.plumbing import PlumbingGraph, boundary_homology, grauert_check, intersection_matrix, star_graph_right
+from steincalc.smooth4 import _excised_star
 
 
 def sympy_smith_diagonal(M):
@@ -430,6 +432,60 @@ class TestPivotHeap:
         assert determinant(M) == cofactor_det(rows)
         assert signature(M) == charpoly_signature(rows)
         assert _det_inertia(M)[3] == len(rows) - len(pivots)
+
+
+
+class TestPivotStamps:
+    # each entry keeps the pivot at which it was last exact; the whole-row
+    # scaling it replaced is the oracle, pivot for pivot
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_property_same_pivots_as_row_scaling(self, data):
+        n = data.draw(st.integers(1, 9))
+        entry = st.sampled_from((0, 0, 0, 1, -1, 2, -3, 5, -9))
+        upper = iter(data.draw(st.lists(entry, min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2)))
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = next(upper)
+        if data.draw(st.booleans()):  # zero diagonal: the pair congruence runs
+            for i in range(n):
+                rows[i][i] = 0
+        if n > 1 and data.draw(st.booleans()):  # singular: row and column l repeat k
+            k, l = data.draw(st.permutations(range(n)))[:2]
+            rows[l] = rows[k][:]
+            for r in rows:
+                r[l] = r[k]
+        M = IntMatrix(rows)
+        assert list(exactmat._pivots(M)) == list(row_scaled_pivots(M))
+
+    def test_tree_corpus_same_pivots_as_row_scaling(self):
+        rng = random.Random(2028)
+        forms = [resolution_tree(random.Random(1000), 1000)]
+        for n in range(1, 301, 23):
+            forms += [resolution_tree(rng, n), random_tree(rng, n), random_tree(rng, n, weight_bound=0)]
+        for G in forms:
+            M = intersection_matrix(G)
+            assert list(exactmat._pivots(M)) == list(row_scaled_pivots(M))
+
+    def test_many_legged_star_in_linear_time(self):
+        # the centre row was once rescaled at every leg: 3 s for figure1's 1000-fiber reduced star
+        G = star_graph_right(1, [2 + 5 * i % 8 for i in range(1000)])
+        start = time.perf_counter()
+        assert grauert_check(G)
+        assert time.perf_counter() - start < 0.5
+
+    def test_excised_star_signature_in_linear_time(self):
+        # thm44 at g = 250, r = 1003 once spent 0.43 s here
+        G = _excised_star(250, 1003, 2)
+        M = intersection_matrix(G)
+        start = time.perf_counter()
+        sigma = signature(M)
+        elapsed = time.perf_counter() - start
+        pos, neg, _ = tree_inertia(G)
+        assert sigma == pos - neg
+        assert elapsed < 0.1
 
 
 class TestParseInt:

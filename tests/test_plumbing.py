@@ -63,7 +63,14 @@ class TestConstruction:
 
     @pytest.mark.parametrize(
         "data",
-        [[], {"vertices": [[0, -2, 0]], "edges": []}, {"vertices": 3, "edges": []}, {"vertices": [], "edges": [5]}],
+        [
+            [],
+            {"vertices": [[0, -2, 0]], "edges": []},
+            {"vertices": 3, "edges": []},
+            {"vertices": [], "edges": [5]},
+            {"vertices": [{"id": 0, "weight": -2, "wieght": 7}], "edges": []},
+            {"vertices": [{"id": 0, "weight": -2}], "edges": [], "edgez": []},
+        ],
     )
     def test_wrong_shape_rejected(self, data):
         with pytest.raises(ValueError, match="a graph is"):
@@ -286,6 +293,14 @@ class TestMoveScript:
         with pytest.raises(ValueError, match=message):
             Move(**fields)
 
+    @pytest.mark.parametrize(
+        "data", [{"op": BLOW_DOWN, "vertex": 1, "edge_": [0, 1]}, {"op": BLOW_UP_AT_VERTEX, "vertex": 1, "sgn": 1}]
+    )
+    def test_unknown_file_key_rejected(self, data):
+        # a file's misspelt field was once dropped, and an optional one took its default
+        with pytest.raises(ValueError, match="a move is"):
+            Move.from_dict(data)
+
     def test_replay_against_rebuild_oracle(self):
         rng = random.Random(4)
         for _ in range(400):
@@ -330,6 +345,21 @@ class TestMoveScript:
         assert len(script) == 1100 and checks == []
         assert (left.vertices(), left.edges, [left.neighbors(v) for v in left.vertex_ids]) == before
         assert len(reduced.vertex_ids) == 1 + sum(p - 1 for p in ps)
+
+    def test_fresh_ids_after_blow_downs(self):
+        # replay keeps the greatest id; only a blow-down of that vertex looks it up again
+        G = star_graph_left(0, (2, 2))
+        moves = [
+            Move(BLOW_UP_AT_VERTEX, vertex=1),  # 3
+            Move(BLOW_UP_AT_VERTEX, vertex=2),  # 4
+            Move(BLOW_DOWN, vertex=3),  # not the greatest: the next id is still 5
+            Move(BLOW_UP_AT_VERTEX, vertex=0, sign=1),  # 5
+            Move(BLOW_DOWN, vertex=5),  # the greatest: 5 is free again
+            Move(BLOW_UP_ON_EDGE, edge=(2, 4)),  # 5
+        ]
+        got, want = MoveScript(moves).replay(G), rebuild_replay(G, moves)
+        assert got.vertex_ids == (0, 1, 2, 4, 5)
+        assert got.vertices() == want.vertices() and got.edges == want.edges
 
 
 def random_valid_move(rng, G):
